@@ -166,10 +166,6 @@ def _add_executor_flags(parser: argparse.ArgumentParser) -> None:
                              "completed shards (repro-mc2 sweep resume DIR)")
     parser.add_argument("--shard-size", type=int, default=16, metavar="N",
                         help="cells per checkpoint shard (default: 16)")
-    parser.add_argument("--batch-cells", action="store_true",
-                        help="simulate whole slices of the grid per process, "
-                             "materializing each distinct task set once per "
-                             "slice (identical results, less regeneration)")
     parser.add_argument("--telemetry", action="store_true",
                         help="enable kernel phase profiling and (with "
                              "--checkpoint-dir) per-worker NDJSON telemetry "
@@ -190,7 +186,6 @@ def _make_executor(args: argparse.Namespace) -> SweepExecutor:
     return make_executor(jobs=args.jobs, cache_dir=args.cache_dir, progress=progress,
                          checkpoint_dir=args.checkpoint_dir,
                          shard_size=args.shard_size,
-                         batch_cells=args.batch_cells,
                          telemetry=args.telemetry,
                          service_addr=getattr(args, "service", None),
                          merged_out=getattr(args, "merged_out", None))

@@ -150,7 +150,8 @@ def traffic_sweep(
     *traffics* pairs each x-axis value with its expanded
     :class:`~repro.workload.traffic.TrafficSpec`.  Traffic cells are
     ordinary :class:`~repro.runtime.spec.RunSpec` cells — they shard,
-    cache, and batch through any executor like the closed-grid sweeps.
+    cache, and share task sets through any executor like the closed-grid
+    sweeps.
     Returns ``{(monitor label, x): [RunResult per task set]}``.
     """
     ex = executor if executor is not None else SerialBackend()

@@ -39,6 +39,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.faults.invariants import Violation, evaluate_invariants
 from repro.faults.plane import FaultPlane
 from repro.faults.spec import FaultPlan, random_plan
+from repro.model.taskset import TaskSet
 from repro.runtime.executor import PoolDegradation, map_pool_resilient
 from repro.runtime.spec import (
     KernelSpec,
@@ -97,7 +98,7 @@ class CampaignCell:
         ``ObsSpec`` is excluded (via ``RunSpec.canonical_json``), so
         tracing a campaign never changes its cell identities.
         """
-        import hashlib
+        from repro.io.canonical import canonical_json, sha256_hex
 
         doc = {
             "format": CAMPAIGN_CELL_FORMAT,
@@ -105,8 +106,7 @@ class CampaignCell:
             "run": json.loads(self.run.canonical_json()),
             "plan": self.plan.to_dict(),
         }
-        blob = json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        return sha256_hex(canonical_json(doc))
 
     def to_dict(self) -> Dict[str, Any]:
         from repro.io.runspec_json import runspec_to_dict
@@ -217,12 +217,16 @@ def _s_min_for(monitor: MonitorSpec) -> Optional[float]:
     return monitor.param if monitor.kind == "simple" else None
 
 
-def run_cell(cell: CampaignCell) -> CellOutcome:
+def run_cell(
+    cell: CampaignCell, tasksets: Optional[Dict[TaskSetSpec, TaskSet]] = None
+) -> CellOutcome:
     """Execute one campaign cell and judge it against the invariants.
 
     Module-level and importing lazily, like
     :func:`repro.runtime.executor.run_spec`, so it pickles cleanly as a
-    process-pool task.  Tracing follows ``cell.run.obs`` with a
+    process-pool task; *tasksets* is the same optional task-set sharing
+    scope (a faulted cell and its fault-free baseline share one task
+    set).  Tracing follows ``cell.run.obs`` with a
     ``cell-<key prefix>.jsonl`` default name; it is observation-only —
     the outcome is identical with or without it.
     """
@@ -244,7 +248,7 @@ def run_cell(cell: CampaignCell) -> CellOutcome:
                 "monitor": spec.monitor.label,
             },
         )
-    ts = spec.taskset.materialize()
+    ts = spec.taskset.materialize_shared(tasksets)
     plane = None if cell.plan.is_empty else FaultPlane(cell.plan)
     try:
         out = run_overload_experiment(
@@ -544,9 +548,9 @@ class Scorecard:
     def to_json(self) -> str:
         """Canonical JSON — byte-identical for identical campaigns,
         whatever backend executed them."""
-        return json.dumps(
-            self.to_dict(), sort_keys=True, separators=(",", ":"), allow_nan=False
-        )
+        from repro.io.canonical import canonical_json
+
+        return canonical_json(self.to_dict())
 
     @classmethod
     def from_dict(cls, doc: Dict[str, Any]) -> "Scorecard":

@@ -30,7 +30,6 @@ therefore across serial and process-pool campaign backends.
 from __future__ import annotations
 
 import hashlib
-import json
 import random
 from dataclasses import dataclass, fields, replace
 from typing import Any, Dict, Tuple, Union
@@ -290,9 +289,11 @@ class FaultPlan:
         )
 
     def canonical_json(self) -> str:
-        return json.dumps(
-            self.to_dict(), sort_keys=True, separators=(",", ":"), allow_nan=False
-        )
+        # Imported lazily: repro.io initializes through the runtime
+        # package, which builds on the fault campaigns.
+        from repro.io.canonical import canonical_json
+
+        return canonical_json(self.to_dict())
 
     def key(self) -> str:
         """sha256 of the canonical JSON — the plan's cache identity."""

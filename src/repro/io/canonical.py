@@ -27,7 +27,7 @@ CANON = dict(sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 def canonical_json(doc: Any) -> str:
     """The canonical JSON text for *doc* (no trailing newline)."""
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    return json.dumps(doc, **CANON)
 
 
 def sha256_hex(data: Union[str, bytes]) -> str:

@@ -24,6 +24,7 @@ import hashlib
 import json
 from typing import Any, Dict
 
+from repro.io.canonical import canonical_json
 from repro.runtime.spec import (
     KernelSpec,
     MonitorSpec,
@@ -180,12 +181,7 @@ def runspec_canonical_json(spec: RunSpec) -> str:
     Hashes only the result-determining fields: ``obs`` never appears
     here, so tracing a spec does not change its cache key.
     """
-    return json.dumps(
-        _runspec_core_dict(spec),
-        sort_keys=True,
-        separators=(",", ":"),
-        allow_nan=False,
-    )
+    return canonical_json(_runspec_core_dict(spec))
 
 
 def runspec_from_json(text: str) -> RunSpec:

@@ -23,7 +23,6 @@ observes a torn export.
 
 from __future__ import annotations
 
-import json
 import os
 import pathlib
 from typing import Any, Dict, List, Union
@@ -39,7 +38,6 @@ __all__ = [
 
 Pathish = Union[str, "os.PathLike[str]"]
 
-_CANON = dict(sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def prometheus_escape(value: str) -> str:
@@ -102,7 +100,6 @@ def prometheus_lines(aggregate: Dict[str, Any]) -> List[str]:
         ("shards_done", "Shards completed by this worker."),
         ("leases_acquired", "Shard leases acquired."),
         ("leases_stolen", "Expired leases stolen."),
-        ("batch_slices", "Batched execution slices started."),
         ("last_wall", "Wall-clock time of the last telemetry sample."),
     )
     for key, help_text in worker_fields:
@@ -137,6 +134,9 @@ def write_prometheus_textfile(aggregate: Dict[str, Any], path: Pathish) -> pathl
 
 def write_json_snapshot(aggregate: Dict[str, Any], path: Pathish) -> pathlib.Path:
     """Atomically write *aggregate* as canonical JSON (deterministic bytes)."""
+    # Imported lazily: repro.obs is imported while repro.io initializes.
+    from repro.io.canonical import canonical_json
+
     dest = pathlib.Path(path)
-    atomic_write_text(dest, json.dumps(aggregate, **_CANON) + "\n")
+    atomic_write_text(dest, canonical_json(aggregate) + "\n")
     return dest

@@ -12,13 +12,11 @@ console.
 
 The ETA smooths the completion rate over a **sliding window** of recent
 ``(time, done)`` samples rather than dividing total done by total
-elapsed: under ``--batch-cells`` cells complete in per-slice bursts
-(a slice's first cell pays task-set materialization, later cells are
-nearly free), and under checkpointed resume a run may start with a
-burst of already-done cells — an instantaneous or cumulative rate
-whipsaws in both cases, while the windowed rate tracks the current
-regime.  Batch-slice boundaries (:meth:`batch_slice`) are reported in
-the progress line so bursty pacing is legible rather than mysterious.
+elapsed: pool cells land in per-slice bursts (a slice's first cell of
+a task set pays its materialization, later cells are nearly free), and
+under checkpointed resume a run may start with a burst of already-done
+cells — an instantaneous or cumulative rate whipsaws in both cases,
+while the windowed rate tracks the current regime.
 """
 
 from __future__ import annotations
@@ -66,7 +64,6 @@ class ProgressReporter:
         self.cache_hits = 0
         self.shards_done = 0
         self.shards_executed = 0
-        self.batch_slices = 0
         self._t0 = 0.0
         self._last_emit = float("-inf")
         self._window: Deque[Tuple[float, int]] = deque()
@@ -79,7 +76,6 @@ class ProgressReporter:
         self.cache_hits = 0
         self.shards_done = 0
         self.shards_executed = 0
-        self.batch_slices = 0
         self._t0 = self._clock()
         self._last_emit = float("-inf")
         self._window = deque([(self._t0, 0)])
@@ -94,15 +90,6 @@ class ProgressReporter:
         if self.done < self.total and now - self._last_emit < self.min_interval_s:
             return
         self._emit(now, final=self.done >= self.total)
-
-    def batch_slice(self) -> None:
-        """Record one batch-slice boundary (``--batch-cells`` execution).
-
-        Cells complete in per-slice bursts under batched execution; the
-        slice count in the progress line tells the reader which regime
-        the (windowed) rate is tracking.
-        """
-        self.batch_slices += 1
 
     def shard_done(self, executed: bool = True) -> None:
         """Record one finished shard of a checkpointed campaign.
@@ -184,8 +171,6 @@ class ProgressReporter:
             f"[sweep] {self.done}/{self.total} cells ({pct:.0f}%)  "
             f"cache {self.cache_hits} ({hit_rate:.0f}%)  elapsed {elapsed:.1f}s"
         )
-        if self.batch_slices:
-            line += f"  slice {self.batch_slices}"
         if not final and self.done:
             line += f"  eta {self._eta(now)}"
         self._stream.write(line + "\n")

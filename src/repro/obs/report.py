@@ -47,13 +47,8 @@ class CellReport:
     truncated: bool
     #: Kernel backend that produced the result (``KernelSpec.backend``),
     #: so reports and telemetry rollups slice by backend without
-    #: re-parsing RunSpecs.  Defaults match :class:`KernelSpec` /
-    #: :class:`~repro.sim.kernel.KernelConfig` defaults.
+    #: re-parsing RunSpecs.  The default matches :class:`KernelSpec`.
     backend: str = "reference"
-    #: Dispatcher strategy ("incremental" or "baseline").
-    dispatcher: str = "incremental"
-    #: Executed through the batched (task-set-sharing) path.
-    batched: bool = False
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -67,8 +62,6 @@ class CellReport:
             "events": self.events,
             "truncated": self.truncated,
             "backend": self.backend,
-            "dispatcher": self.dispatcher,
-            "batched": self.batched,
         }
 
 
@@ -167,16 +160,14 @@ class SweepReport:
     def by_backend(self) -> Dict[str, Dict[str, Any]]:
         """Per-backend rollup: cells/events/wall sliced by kernel backend.
 
-        Keys are ``"<backend>/<dispatcher>"`` (plus ``"+batch"`` when the
-        batched path ran), so a mixed sweep — e.g. a soa-vs-reference
-        comparison grid — reads off its per-core throughput without
-        re-parsing RunSpecs.
+        Keys are the backend names, so a mixed sweep — e.g. a
+        soa-vs-reference comparison grid — reads off its per-core
+        throughput without re-parsing RunSpecs.
         """
         out: Dict[str, Dict[str, Any]] = {}
         for c in self.cells:
-            label = f"{c.backend}/{c.dispatcher}" + ("+batch" if c.batched else "")
             agg = out.setdefault(
-                label,
+                c.backend,
                 {"cells": 0, "simulated": 0, "events": 0, "wall_ns": 0},
             )
             agg["cells"] += 1

@@ -5,7 +5,7 @@ heartbeats) and the *completion* signal (shard manifests); this module
 adds the **throughput** signal.  Each worker appends versioned NDJSON
 telemetry records next to its heartbeat files — cells/sec and
 events/sec per kernel backend, cache hit-rate, lease
-acquisitions/steals, batch-slice counts, RSS, and cumulative per-phase
+acquisitions/steals, RSS, and cumulative per-phase
 kernel timings — and any other process can reconstruct the campaign's
 live state *from the files alone*: ``repro-mc2 status --watch`` and
 ``repro-mc2 top`` render dashboards, and :mod:`repro.obs.export` turns
@@ -38,7 +38,7 @@ Record schema (``repro-telemetry`` v1, one JSON object per line)::
      "cells_run": ..., "cache_hits": ..., "events": ...,
      "cells_per_sec": ..., "events_per_sec": ..., "rss_bytes": ...,
      "shards_claimed": ..., "leases_acquired": ..., "leases_stolen": ...,
-     "batch_slices": ..., "backend": ..., "batch": ...,
+     "backend": ...,
      "phases": {"dispatch": {"count": ..., "sampled_ns": ...,
                              "samples": ...}, ...}}
 
@@ -70,6 +70,10 @@ from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Unio
 
 from repro.util.atomicio import append_line
 
+# NOTE: repro.io.canonical is imported lazily inside methods, as in
+# repro.runtime.cache: the kernels import this module, and importing
+# repro.io at module level would close a cycle back through them.
+
 __all__ = [
     "TELEMETRY_FORMAT",
     "TELEMETRY_VERSION",
@@ -98,7 +102,6 @@ TELEMETRY_VERSION = 1
 AGGREGATE_FORMAT = "repro-telemetry-aggregate"
 AGGREGATE_VERSION = 1
 
-_CANON = dict(sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 Pathish = Union[str, "os.PathLike[str]"]
 
@@ -247,7 +250,6 @@ class TelemetryWriter:
         mono: Callable[[], float] = time.monotonic,
         rss_fn: Callable[[], int] = rss_bytes,
         backend: str = "",
-        batch: bool = False,
         phase_profiler: Optional[PhaseProfiler] = None,
         sink: Optional[Callable[[str], None]] = None,
     ) -> None:
@@ -261,7 +263,6 @@ class TelemetryWriter:
         self._mono = mono
         self._rss_fn = rss_fn
         self.backend = backend
-        self.batch = batch
         self._profiler = phase_profiler if phase_profiler is not None else PHASE_PROFILER
         self._seq = 0
         self._last_mono = float("-inf")
@@ -276,14 +277,15 @@ class TelemetryWriter:
         self.shards_done = 0
         self.leases_acquired = 0
         self.leases_stolen = 0
-        self.batch_slices = 0
         # Provenance spot-check accounting (coordinator-side streams).
         self.cells_verified = 0
         self.verify_failures = 0
         self.quarantines = 0
         self.closed = False
+        from repro.io.canonical import canonical_json
+
         self._emit(
-            json.dumps(
+            canonical_json(
                 {
                     "rec": "meta",
                     "format": TELEMETRY_FORMAT,
@@ -294,8 +296,7 @@ class TelemetryWriter:
                     "host": os.uname().nodename,
                     "start": self._clock(),
                     "mono_start": self._mono(),
-                },
-                **_CANON,
+                }
             )
         )
 
@@ -318,9 +319,6 @@ class TelemetryWriter:
     def shard_finished(self) -> None:
         self.shards_done += 1
         self.sample(force=True)
-
-    def batch_slice(self) -> None:
-        self.batch_slices += 1
 
     def cell_verified(self, ok: bool) -> None:
         """One cell re-executed by the verification spot-check."""
@@ -373,7 +371,6 @@ class TelemetryWriter:
             "shards_done": self.shards_done,
             "leases_acquired": self.leases_acquired,
             "leases_stolen": self.leases_stolen,
-            "batch_slices": self.batch_slices,
             "cells_verified": self.cells_verified,
             "verify_failures": self.verify_failures,
             "quarantines": self.quarantines,
@@ -381,12 +378,13 @@ class TelemetryWriter:
             "events_per_sec": (self.events - prev_events) / dt if dt > 0 else 0.0,
             "rss_bytes": self._rss_fn(),
             "backend": self.backend,
-            "batch": self.batch,
             "phases": self._profiler.snapshot(),
         }
         if final:
             record["final"] = True
-        self._emit(json.dumps(record, **_CANON))
+        from repro.io.canonical import canonical_json
+
+        self._emit(canonical_json(record))
         self._seq += 1
         self._last_mono = mono
         self._prev = (self.cells_done, self.events, mono)
@@ -493,7 +491,6 @@ class TelemetryAggregator:
             "shards_done": 0,
             "leases_acquired": 0,
             "leases_stolen": 0,
-            "batch_slices": 0,
             "cells_verified": 0,
             "verify_failures": 0,
             "quarantines": 0,
@@ -532,13 +529,11 @@ class TelemetryAggregator:
                 "shards_done": int(last.get("shards_done", 0)),
                 "leases_acquired": int(last.get("leases_acquired", 0)),
                 "leases_stolen": int(last.get("leases_stolen", 0)),
-                "batch_slices": int(last.get("batch_slices", 0)),
                 "cells_verified": int(last.get("cells_verified", 0)),
                 "verify_failures": int(last.get("verify_failures", 0)),
                 "quarantines": int(last.get("quarantines", 0)),
                 "rss_bytes": int(last.get("rss_bytes", 0)),
                 "backend": str(last.get("backend", "")),
-                "batch": bool(last.get("batch", False)),
                 "final": bool(last.get("final", False)),
                 "cells_per_sec": cells / lifetime if lifetime > 0 else 0.0,
                 "events_per_sec": events / lifetime if lifetime > 0 else 0.0,
@@ -579,7 +574,9 @@ class TelemetryAggregator:
     def to_json(self) -> str:
         """Canonical JSON of :meth:`aggregate` — byte-identical for the
         same records regardless of ingestion order."""
-        return json.dumps(self.aggregate(), **_CANON) + "\n"
+        from repro.io.canonical import canonical_json
+
+        return canonical_json(self.aggregate()) + "\n"
 
 
 def aggregate_campaign(campaign_dir: Pathish) -> Dict[str, Any]:
@@ -725,8 +722,7 @@ def render_status(
             f"throughput {_fmt_rate(cps)} cells/s, "
             f"{_fmt_rate(float(rates.get('events_per_sec', 0.0)))} events/s  "
             f"cache hits {totals.get('cache_hits', 0)}  "
-            f"lease steals {totals.get('leases_stolen', 0)}  "
-            f"batch slices {totals.get('batch_slices', 0)}"
+            f"lease steals {totals.get('leases_stolen', 0)}"
         )
     if totals.get("cells_verified") or totals.get("quarantines"):
         lines.append(

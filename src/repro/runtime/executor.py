@@ -24,16 +24,19 @@ Determinism: a cell's result depends only on its spec (the task-set
 seed pins the single source of randomness), so backend choice and job
 count never change the aggregated figures — only the wall clock.
 
-**Batched cell execution** (``batch_cells=True``): sweep grids usually
-share a handful of task-set specs (the seed axis) across many cells
-(the scenario x monitor axes), and for short-horizon cells task-set
-generation is a large fraction of the cost.  In batch mode a whole
-slice of cells is simulated in one process by
-:func:`run_specs_batch`, which materializes each distinct
-``TaskSetSpec`` once and reuses it — safe because
-:class:`~repro.model.taskset.TaskSet` is immutable and simulation
-never mutates it.  Results are bit-for-bit identical to per-cell
-execution; only the wall clock changes.
+**Task-set sharing**: sweep grids usually share a handful of task-set
+specs (the seed axis) across many cells (the scenario x monitor axes),
+and for short-horizon cells task-set generation is a large fraction of
+the cost.  Every executor therefore runs its cells through
+:func:`run_spec` with a sharing scope — a dict in which each distinct
+``TaskSetSpec`` is materialized once
+(:meth:`~repro.runtime.spec.TaskSetSpec.materialize_shared`).  A scope
+is one serial ``run()`` call or one pool slice here, one file-queue
+shard in :mod:`repro.runtime.shard`, one lease grant in
+:mod:`repro.serve.worker` — never process-wide.  Sharing is safe
+because :class:`~repro.model.taskset.TaskSet` is immutable and
+simulation never mutates it, so results are bit-for-bit those of fresh
+materialization.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ import concurrent.futures
 import os
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.experiments.metrics import RunResult
 from repro.model.taskset import TaskSet
@@ -54,7 +57,6 @@ from repro.runtime.spec import RunSpec, TaskSetSpec
 
 __all__ = [
     "run_spec",
-    "run_specs_batch",
     "SweepStats",
     "PoolDegradation",
     "map_pool_resilient",
@@ -65,16 +67,30 @@ __all__ = [
 ]
 
 
-def _run_spec_on(spec: RunSpec, ts: TaskSet) -> RunResult:
-    """Simulate *spec* against an already-materialized task set.
+def run_spec(
+    spec: RunSpec, tasksets: Optional[Dict[TaskSetSpec, TaskSet]] = None
+) -> RunResult:
+    """Execute one cell: materialize the task set, simulate, return the result.
 
-    The shared body of :func:`run_spec` and :func:`run_specs_batch`:
-    everything downstream of task-set materialization, so the batch
-    path can reuse one :class:`~repro.model.taskset.TaskSet` across
-    every cell that references the same :class:`TaskSetSpec`.
+    *tasksets* is the caller's sharing scope (see the module
+    docstring): the task set is materialized only if no earlier cell of
+    the scope did so.  ``None`` materializes afresh; the result is the
+    same either way.
+
+    Module-level (and importing nothing exotic) so it pickles cleanly as
+    a process-pool task.  Custom monitor kinds must be registered at
+    *import* time of a module the worker also imports — with the default
+    ``fork`` start method on Linux, anything registered in the parent is
+    simply inherited.
+
+    When ``spec.obs`` requests tracing, a
+    :class:`~repro.obs.tracer.JsonlTracer` streams the run's events to
+    ``<trace_dir>/run-<key prefix>.jsonl``.  Tracing is observation
+    only: the returned :class:`RunResult` is identical either way.
     """
     from repro.experiments.runner import run_overload_experiment
 
+    ts = spec.taskset.materialize_shared(tasksets)
     tracer = None
     if spec.obs.tracing:
         from repro.obs.tracer import JsonlTracer
@@ -108,79 +124,31 @@ def _run_spec_on(spec: RunSpec, ts: TaskSet) -> RunResult:
     return result
 
 
-def run_spec(spec: RunSpec) -> RunResult:
-    """Execute one cell: materialize the task set, simulate, return the result.
+def _iter_timed(specs: Sequence[RunSpec]) -> Iterator[Tuple[RunResult, int]]:
+    """Yield ``(result, wall_ns)`` per cell, in order, in one sharing scope.
 
-    Module-level (and importing nothing exotic) so it pickles cleanly as
-    a process-pool task.  Custom monitor kinds must be registered at
-    *import* time of a module the worker also imports — with the default
-    ``fork`` start method on Linux, anything registered in the parent is
-    simply inherited.
-
-    When ``spec.obs`` requests tracing, a
-    :class:`~repro.obs.tracer.JsonlTracer` streams the run's events to
-    ``<trace_dir>/run-<key prefix>.jsonl``.  Tracing is observation
-    only: the returned :class:`RunResult` is identical either way.
+    A generator so streaming consumers (progress ticks) see each cell as
+    it finishes.  The first cell of a task set pays its materialization
+    inside its wall time; later cells of the same task set don't —
+    per-cell wall times are diagnostics, not part of any result
+    artifact.
     """
-    return _run_spec_on(spec, spec.taskset.materialize())
-
-
-def _timed_run_spec(spec: RunSpec) -> Tuple[RunResult, int]:
-    """:func:`run_spec` plus its wall-clock cost in nanoseconds.
-
-    Module-level for the same pickling reason as :func:`run_spec` —
-    this is what the process pool actually maps over, so per-cell
-    timing happens on the worker side and rides home with the result.
-    """
-    t0 = time.perf_counter_ns()
-    result = run_spec(spec)
-    return result, time.perf_counter_ns() - t0
-
-
-def _iter_timed_batch(specs: Sequence[RunSpec]):
-    """Yield ``(result, wall_ns)`` per cell, sharing materialized task sets.
-
-    Each distinct ``TaskSetSpec`` (frozen, hashable) is materialized at
-    most once per batch; every later cell referencing it reuses the same
-    :class:`~repro.model.taskset.TaskSet` instance.  Safe because task
-    sets are immutable and simulation never mutates them — the results
-    are bit-for-bit identical to per-cell execution.  A generator so
-    streaming consumers (shard heartbeats, progress ticks) see each
-    cell as it finishes, not the whole batch at the end.
-
-    The first cell of a task set pays the materialization inside its
-    wall time (matching :func:`_timed_run_spec`); later cells of the
-    same task set don't — per-cell wall times are diagnostics, not part
-    of any result artifact.
-    """
-    ts_cache: Dict[TaskSetSpec, TaskSet] = {}
+    tasksets: Dict[TaskSetSpec, TaskSet] = {}
     for spec in specs:
         t0 = time.perf_counter_ns()
-        ts = ts_cache.get(spec.taskset)
-        if ts is None:
-            ts = ts_cache[spec.taskset] = spec.taskset.materialize()
-        result = _run_spec_on(spec, ts)
+        result = run_spec(spec, tasksets)
         yield result, time.perf_counter_ns() - t0
 
 
-def _timed_run_specs_batch(specs: Sequence[RunSpec]) -> List[Tuple[RunResult, int]]:
-    """Batched :func:`_timed_run_spec`: one pool task simulates many cells.
+def _timed_slice(specs: Sequence[RunSpec]) -> List[Tuple[RunResult, int]]:
+    """One pool task: a slice of cells in its own sharing scope.
 
     Module-level and list-returning so it pickles cleanly as a
-    process-pool task (generators don't cross the process boundary).
+    process-pool task (generators don't cross the process boundary);
+    per-cell timing happens on the worker side and rides home with the
+    results.
     """
-    return list(_iter_timed_batch(specs))
-
-
-def run_specs_batch(specs: Sequence[RunSpec]) -> List[RunResult]:
-    """Simulate *specs* in order in this process, sharing task sets.
-
-    The "many short runs" entry point: a whole shard of sweep cells is
-    simulated in one process, with each distinct task-set spec
-    materialized once (see :func:`_iter_timed_batch`).  Results are
-    identical to ``[run_spec(s) for s in specs]``.
-    """
-    return [result for result, _ in _iter_timed_batch(specs)]
+    return list(_iter_timed(specs))
 
 
 @dataclass(frozen=True)
@@ -320,11 +288,15 @@ class SweepExecutor:
         if self.progress is not None:
             self.progress.cell_done(cached=False)
 
-    def _slice_finished(self) -> None:
-        """Backend hook: one batched slice of cells just finished."""
-        self.metrics.counter("executor.batch_slices").inc()
-        if self.progress is not None:
-            self.progress.batch_slice()
+    def _execute_in_process(
+        self, specs: Sequence[RunSpec]
+    ) -> List[Tuple[RunResult, int]]:
+        """Simulate *specs* here, in order, in one sharing scope."""
+        out: List[Tuple[RunResult, int]] = []
+        for timed in _iter_timed(specs):
+            self._cell_finished(timed[1])
+            out.append(timed)
+        return out
 
     def _write_merged_out(
         self, specs: Sequence[RunSpec], results: Sequence[RunResult]
@@ -376,7 +348,6 @@ class SweepExecutor:
         if self.progress is not None:
             self.progress.finish()
 
-        batched = bool(getattr(self, "batch_cells", False))
         self.report = SweepReport(
             cells=[
                 CellReport(
@@ -390,7 +361,6 @@ class SweepExecutor:
                     events=result.events,
                     truncated=result.truncated,
                     backend=spec.kernel.backend,
-                    batched=batched and i in wall,
                 )
                 for i, (spec, result) in enumerate(zip(specs, results))
             ]
@@ -422,39 +392,15 @@ class SweepExecutor:
 class SerialBackend(SweepExecutor):
     """Simulate cells one after another in the calling process.
 
-    ``batch_cells=True`` runs the whole miss list through
-    :func:`_iter_timed_batch`, materializing each distinct task set
-    once instead of once per cell — same results, fewer generator
-    invocations.
+    The whole miss list of one ``run()`` call is one task-set sharing
+    scope.
     """
-
-    def __init__(
-        self,
-        cache: Optional[ResultCache] = None,
-        metrics: Optional[MetricsRegistry] = None,
-        progress: Optional[ProgressReporter] = None,
-        batch_cells: bool = False,
-    ) -> None:
-        super().__init__(cache=cache, metrics=metrics, progress=progress)
-        self.batch_cells = batch_cells
 
     def _execute(self, specs: Sequence[RunSpec]) -> List[RunResult]:
         return [r for r, _ in self._execute_timed(specs)]
 
     def _execute_timed(self, specs: Sequence[RunSpec]) -> List[Tuple[RunResult, int]]:
-        out: List[Tuple[RunResult, int]] = []
-        if self.batch_cells:
-            for timed in _iter_timed_batch(specs):
-                self._cell_finished(timed[1])
-                out.append(timed)
-            if out:
-                self._slice_finished()
-            return out
-        for s in specs:
-            timed = _timed_run_spec(s)
-            self._cell_finished(timed[1])
-            out.append(timed)
-        return out
+        return self._execute_in_process(specs)
 
 
 class ProcessPoolBackend(SweepExecutor):
@@ -465,20 +411,13 @@ class ProcessPoolBackend(SweepExecutor):
     jobs:
         Worker count (default: ``os.cpu_count()``).
     chunksize:
-        Specs per pool task; ``None`` picks ``ceil(n / (4 * jobs))``,
-        which amortizes dispatch overhead while still load-balancing
-        cells of uneven cost (short vs. truncated runs).
+        Cells per pool task (a *slice*, one task-set sharing scope);
+        ``None`` picks ``ceil(n / (4 * jobs))``, which amortizes
+        dispatch overhead while still load-balancing cells of uneven
+        cost (short vs. truncated runs).
     cache:
         Optional shared result cache (consulted in the parent; workers
         never touch the disk cache).
-    batch_cells:
-        Ship whole *slices* of the spec list to each worker
-        (:func:`_timed_run_specs_batch`) instead of mapping cells
-        one-by-one, so a worker materializes each distinct task set
-        once per slice.  Batch chunks default to ``ceil(n / jobs)`` —
-        larger than the cell-mode default, trading load balancing for
-        task-set reuse (``chunksize`` overrides either way).  Results
-        are identical; only the wall clock changes.
     """
 
     def __init__(
@@ -488,7 +427,6 @@ class ProcessPoolBackend(SweepExecutor):
         chunksize: Optional[int] = None,
         metrics: Optional[MetricsRegistry] = None,
         progress: Optional[ProgressReporter] = None,
-        batch_cells: bool = False,
     ) -> None:
         super().__init__(cache=cache, metrics=metrics, progress=progress)
         if jobs is not None and jobs < 1:
@@ -497,7 +435,6 @@ class ProcessPoolBackend(SweepExecutor):
         if chunksize is not None and chunksize < 1:
             raise ValueError(f"chunksize must be >= 1, got {chunksize}")
         self.chunksize = chunksize
-        self.batch_cells = batch_cells
 
     def _execute(self, specs: Sequence[RunSpec]) -> List[RunResult]:
         return [r for r, _ in self._execute_timed(specs)]
@@ -505,55 +442,38 @@ class ProcessPoolBackend(SweepExecutor):
     def _execute_timed(self, specs: Sequence[RunSpec]) -> List[Tuple[RunResult, int]]:
         if len(specs) <= 1 or self.jobs == 1:
             # Not worth a pool; also keeps single-cell CLI runs fork-free.
-            out: List[Tuple[RunResult, int]] = []
-            if self.batch_cells:
-                for timed in _iter_timed_batch(specs):
-                    self._cell_finished(timed[1])
-                    out.append(timed)
-                if out:
-                    self._slice_finished()
-                return out
-            for s in specs:
-                timed = _timed_run_spec(s)
+            return self._execute_in_process(specs)
+        per = self.chunksize
+        if per is None:
+            per = max(1, -(-len(specs) // (4 * self.jobs)))
+        slices = [specs[i : i + per] for i in range(0, len(specs), per)]
+
+        def _slice_done(timed_slice: List[Tuple[RunResult, int]]) -> None:
+            for timed in timed_slice:
                 self._cell_finished(timed[1])
-                out.append(timed)
-            return out
-        workers = min(self.jobs, len(specs))
-        if self.batch_cells:
-            per = self.chunksize
-            if per is None:
-                per = max(1, -(-len(specs) // workers))
-            slices = [specs[i : i + per] for i in range(0, len(specs), per)]
 
-            def _batch_done(timed_slice: List[Tuple[RunResult, int]]) -> None:
-                for timed in timed_slice:
-                    self._cell_finished(timed[1])
-                self._slice_finished()
-
-            # Each pool task is one contiguous slice; map yields slices in
-            # submission order, so flattening restores the cell order.
-            nested, self._degradation = map_pool_resilient(
-                _timed_run_specs_batch,
-                slices,
-                min(workers, len(slices)),
-                1,
-                on_result=_batch_done,
-            )
-            return [timed for timed_slice in nested for timed in timed_slice]
-        chunk = self.chunksize
-        if chunk is None:
-            chunk = max(1, -(-len(specs) // (4 * self.jobs)))
-        # pool.map yields in submission order as results land, so
-        # progress ticks stream in while later chunks still run; the
-        # resilient wrapper absorbs worker deaths (retry, then serial).
-        out, self._degradation = map_pool_resilient(
-            _timed_run_spec,
-            specs,
-            workers,
-            chunk,
-            on_result=lambda timed: self._cell_finished(timed[1]),
+        # Each pool task is one contiguous slice; map yields slices in
+        # submission order as they land, so flattening restores the cell
+        # order and progress ticks stream in while later slices still
+        # run.  The resilient wrapper absorbs worker deaths (retry, then
+        # serial).
+        nested, deg = map_pool_resilient(
+            _timed_slice,
+            slices,
+            min(self.jobs, len(slices)),
+            1,
+            on_result=_slice_done,
         )
-        return out
+        # map_pool_resilient counts slices; SweepStats counts cells.  The
+        # re-run slices are always the trailing ones.
+        self._degradation = PoolDegradation(
+            retried=sum(len(s) for s in slices[len(slices) - deg.retried :]),
+            serial_fallback=sum(
+                len(s) for s in slices[len(slices) - deg.serial_fallback :]
+            ),
+            breaks=deg.breaks,
+        )
+        return [timed for timed_slice in nested for timed in timed_slice]
 
 
 def make_executor(
@@ -564,7 +484,6 @@ def make_executor(
     progress: Optional[ProgressReporter] = None,
     checkpoint_dir: Optional[str] = None,
     shard_size: int = 16,
-    batch_cells: bool = False,
     telemetry: bool = False,
     service_addr: Optional[str] = None,
     merged_out: Optional[str] = None,
@@ -590,11 +509,6 @@ def make_executor(
     single-machine case of the same seam — results and artifacts are
     identical either way.  Mutually exclusive with ``checkpoint_dir``
     (the coordinator owns its own campaign directories).
-
-    ``--batch-cells`` turns on batched cell execution on every backend:
-    each process simulates whole slices of the grid, materializing each
-    distinct task set once per slice (identical results, less task-set
-    regeneration; see the module docstring).
 
     ``--telemetry`` turns on kernel phase profiling
     (:mod:`repro.obs.telemetry`) and, on the sharded backend, per-worker
@@ -633,20 +547,13 @@ def make_executor(
             cache=cache,
             metrics=metrics,
             progress=progress,
-            batch_cells=batch_cells,
             telemetry=telemetry,
         )
     elif jobs <= 1:
-        executor = SerialBackend(
-            cache=cache, metrics=metrics, progress=progress, batch_cells=batch_cells
-        )
+        executor = SerialBackend(cache=cache, metrics=metrics, progress=progress)
     else:
         executor = ProcessPoolBackend(
-            jobs=jobs,
-            cache=cache,
-            metrics=metrics,
-            progress=progress,
-            batch_cells=batch_cells,
+            jobs=jobs, cache=cache, metrics=metrics, progress=progress
         )
     executor.merged_out = merged_out
     executor.merged_shard_size = shard_size

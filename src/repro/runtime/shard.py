@@ -62,7 +62,18 @@ import os
 import pathlib
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.experiments.metrics import RunResult
 from repro.faults.campaign import (
@@ -79,6 +90,10 @@ from repro.runtime.cache import ResultCache
 from repro.runtime.executor import SweepExecutor, SweepStats, run_spec
 from repro.runtime.spec import RunSpec
 from repro.util.atomicio import atomic_write_text, atomic_writer
+
+# NOTE: repro.io.canonical is imported lazily inside functions, as in
+# repro.runtime.cache: importing it runs repro/io/__init__.py, whose
+# results_json -> experiments.figures -> runtime chain would be circular.
 
 __all__ = [
     "CAMPAIGN_FORMAT",
@@ -117,8 +132,6 @@ MERGED_SWEEP_VERSION = 1
 
 Pathish = Union[str, "os.PathLike[str]"]
 
-_CANON = dict(sort_keys=True, separators=(",", ":"), allow_nan=False)
-
 
 class CampaignMismatchError(ValueError):
     """The directory already holds a *different* campaign."""
@@ -146,14 +159,47 @@ class _Kind:
     cell_key: Callable[[Any], str]
     cell_to_dict: Callable[[Any], Dict[str, Any]]
     cell_from_dict: Callable[[Dict[str, Any]], Any]
-    #: Execute one cell, returning its JSON-ready result document.
-    execute: Callable[[Any], Dict[str, Any]]
+    #: Execute one cell, returning its JSON-ready result document;
+    #: ``execute(cell, tasksets=None)`` with an optional task-set
+    #: sharing scope (see :func:`repro.runtime.executor.run_spec`).
+    execute: Callable[..., Dict[str, Any]]
     #: Whether cells can be served from / written to a ResultCache.
     cacheable: bool
-    #: Optional batched execution: lazily yield ``(doc, wall_ns)`` per
-    #: cell, in order, sharing per-batch state (e.g. materialized task
-    #: sets).  ``None`` means the kind only executes cell-by-cell.
-    execute_batch: Optional[Callable[[Sequence[Any]], Iterator[Tuple[Dict[str, Any], int]]]] = None
+
+    def run_cells(
+        self,
+        cells: Sequence[Any],
+        keys: Sequence[str],
+        cache: Optional[ResultCache],
+    ) -> Iterator[Tuple[Dict[str, Any], bool, int]]:
+        """Yield ``(doc, cached, wall_ns)`` per cell, in order.
+
+        The one per-cell loop of every campaign executor (file-queue
+        shards, service lease grants): cache lookup, then execution in
+        one task-set sharing scope for the whole call, then cache
+        write-back, with ``wall_ns`` timed around all three.  A cell
+        with an empty key bypasses the cache.  A generator, so callers
+        heartbeat and report after every cell.
+        """
+        tasksets: Dict[Any, Any] = {}
+        use_cache = self.cacheable and cache is not None
+        for cell, key in zip(cells, keys):
+            t0 = time.perf_counter_ns()
+            doc: Optional[Dict[str, Any]] = None
+            if use_cache and key:
+                hit = cache.get(key)
+                if hit is not None:
+                    from repro.io.results_json import run_result_to_dict
+
+                    doc = run_result_to_dict(hit)
+            cached = doc is not None
+            if doc is None:
+                doc = self.execute(cell, tasksets)
+                if use_cache and key:
+                    from repro.io.results_json import run_result_from_dict
+
+                    cache.put(key, self.cell_to_dict(cell), run_result_from_dict(doc))
+            yield doc, cached, time.perf_counter_ns() - t0
 
 
 def _sweep_cell_to_dict(spec: RunSpec) -> Dict[str, Any]:
@@ -168,30 +214,18 @@ def _sweep_cell_from_dict(doc: Dict[str, Any]) -> RunSpec:
     return runspec_from_dict(doc)
 
 
-def _sweep_execute(spec: RunSpec) -> Dict[str, Any]:
+def _sweep_execute(
+    spec: RunSpec, tasksets: Optional[Dict[Any, Any]] = None
+) -> Dict[str, Any]:
     from repro.io.results_json import run_result_to_dict
 
-    return run_result_to_dict(run_spec(spec))
+    return run_result_to_dict(run_spec(spec, tasksets))
 
 
-def _sweep_execute_batch(
-    specs: Sequence[RunSpec],
-) -> Iterator[Tuple[Dict[str, Any], int]]:
-    """Simulate a slice of sweep cells in-process, sharing task sets.
-
-    Streams ``(result_doc, wall_ns)`` as each cell finishes, so the
-    shard loop keeps its per-cell heartbeat/progress cadence.  Results
-    are bit-for-bit identical to :func:`_sweep_execute` per cell.
-    """
-    from repro.io.results_json import run_result_to_dict
-    from repro.runtime.executor import _iter_timed_batch
-
-    for result, wall_ns in _iter_timed_batch(specs):
-        yield run_result_to_dict(result), wall_ns
-
-
-def _faults_execute(cell: CampaignCell) -> Dict[str, Any]:
-    return run_cell(cell).to_dict()
+def _faults_execute(
+    cell: CampaignCell, tasksets: Optional[Dict[Any, Any]] = None
+) -> Dict[str, Any]:
+    return run_cell(cell, tasksets).to_dict()
 
 
 _KINDS: Dict[str, _Kind] = {
@@ -202,7 +236,6 @@ _KINDS: Dict[str, _Kind] = {
         cell_from_dict=_sweep_cell_from_dict,
         execute=_sweep_execute,
         cacheable=True,
-        execute_batch=_sweep_execute_batch,
     ),
     "faults": _Kind(
         name="faults",
@@ -289,6 +322,8 @@ class ShardedCampaign:
         self.shards: Tuple[ShardSpec, ...] = tuple(self._compute_shards())
 
     def _compute_key(self) -> str:
+        from repro.io.canonical import canonical_json, sha256_hex
+
         doc = {
             "format": CAMPAIGN_FORMAT,
             "version": CAMPAIGN_VERSION,
@@ -296,22 +331,23 @@ class ShardedCampaign:
             "shard_size": self.shard_size,
             "cell_keys": list(self.cell_keys),
         }
-        blob = json.dumps(doc, **_CANON)
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        return sha256_hex(canonical_json(doc))
 
     def _compute_shards(self) -> List[ShardSpec]:
+        from repro.io.canonical import canonical_json, sha256_hex
+
         out: List[ShardSpec] = []
         for idx, start in enumerate(range(0, len(self.cells), self.shard_size)):
             stop = min(start + self.shard_size, len(self.cells))
-            blob = json.dumps(
-                {
-                    "campaign": self.campaign_key,
-                    "index": idx,
-                    "cell_keys": list(self.cell_keys[start:stop]),
-                },
-                **_CANON,
+            shard_id = sha256_hex(
+                canonical_json(
+                    {
+                        "campaign": self.campaign_key,
+                        "index": idx,
+                        "cell_keys": list(self.cell_keys[start:stop]),
+                    }
+                )
             )
-            shard_id = hashlib.sha256(blob.encode("utf-8")).hexdigest()
             out.append(ShardSpec(index=idx, shard_id=shard_id, start=start, stop=stop))
         return out
 
@@ -574,51 +610,31 @@ def _execute_shard(
     cache: Optional[ResultCache],
     clock: Callable[[], float],
     on_cell: Optional[Callable[[bool], None]] = None,
-    batch: bool = False,
     telemetry=None,
 ) -> Tuple[int, int]:
-    """Run one claimed shard to its manifest; returns (cells_run, hits)."""
+    """Run one claimed shard to its manifest; returns (cells_run, hits).
+
+    The shard is one task-set sharing scope (:meth:`_Kind.run_cells`).
+    """
     kind = _KINDS[campaign.kind]
-    if batch and kind.execute_batch is not None:
-        return _execute_shard_batched(
-            store, campaign, shard, owner, cache, clock, on_cell, telemetry
-        )
     results: List[Dict[str, Any]] = []
     cached_flags: List[bool] = []
     wall: List[int] = []
-    cells_run = 0
-    hits = 0
     t_shard = time.perf_counter_ns()
-    for pos in range(shard.start, shard.stop):
-        cell = campaign.cells[pos]
-        key = campaign.cell_keys[pos]
-        t0 = time.perf_counter_ns()
-        doc: Optional[Dict[str, Any]] = None
-        was_cached = False
-        if kind.cacheable and cache is not None:
-            hit = cache.get(key)
-            if hit is not None:
-                from repro.io.results_json import run_result_to_dict
-
-                doc = run_result_to_dict(hit)
-                was_cached = True
-                hits += 1
-        if doc is None:
-            doc = kind.execute(cell)
-            cells_run += 1
-            if kind.cacheable and cache is not None:
-                from repro.io.results_json import run_result_from_dict
-
-                cache.put(key, kind.cell_to_dict(cell), run_result_from_dict(doc))
+    for doc, was_cached, wall_ns in kind.run_cells(
+        campaign.cells[shard.start : shard.stop],
+        campaign.cell_keys[shard.start : shard.stop],
+        cache,
+    ):
         results.append(doc)
         cached_flags.append(was_cached)
-        wall.append(time.perf_counter_ns() - t0)
+        wall.append(wall_ns)
         store.heartbeat(shard.shard_id, owner, clock)
         if on_cell is not None:
             on_cell(was_cached)
         if telemetry is not None:
             telemetry.cell_done(
-                was_cached, events=int(doc.get("events", 0)), wall_ns=wall[-1]
+                was_cached, events=int(doc.get("events", 0)), wall_ns=wall_ns
             )
     store.write_manifest(
         campaign,
@@ -629,94 +645,8 @@ def _execute_shard(
         owner,
         time.perf_counter_ns() - t_shard,
     )
-    return cells_run, hits
-
-
-def _execute_shard_batched(
-    store: CampaignStore,
-    campaign: ShardedCampaign,
-    shard: ShardSpec,
-    owner: str,
-    cache: Optional[ResultCache],
-    clock: Callable[[], float],
-    on_cell: Optional[Callable[[bool], None]] = None,
-    telemetry=None,
-) -> Tuple[int, int]:
-    """Batched twin of :func:`_execute_shard` (same manifest semantics).
-
-    Cache hits are collected first, then every miss in the shard is
-    simulated by one streaming ``execute_batch`` call — so per-batch
-    state (materialized task sets) is shared across the whole shard.
-    The manifest lists results/flags/walls in cell order exactly as the
-    per-cell path would; result documents are byte-identical, so the
-    merged campaign artifact is too.  Heartbeats still land after every
-    simulated cell (the batch executor streams), keeping lease liveness
-    on the same cadence.
-    """
-    kind = _KINDS[campaign.kind]
-    n = shard.cells
-    results: List[Optional[Dict[str, Any]]] = [None] * n
-    cached_flags = [False] * n
-    wall = [0] * n
-    hits = 0
-    miss_off: List[int] = []
-    t_shard = time.perf_counter_ns()
-    for off in range(n):
-        pos = shard.start + off
-        t0 = time.perf_counter_ns()
-        doc: Optional[Dict[str, Any]] = None
-        if kind.cacheable and cache is not None:
-            hit = cache.get(campaign.cell_keys[pos])
-            if hit is not None:
-                from repro.io.results_json import run_result_to_dict
-
-                doc = run_result_to_dict(hit)
-        if doc is not None:
-            results[off] = doc
-            cached_flags[off] = True
-            wall[off] = time.perf_counter_ns() - t0
-            hits += 1
-            store.heartbeat(shard.shard_id, owner, clock)
-            if on_cell is not None:
-                on_cell(True)
-            if telemetry is not None:
-                telemetry.cell_done(True, wall_ns=wall[off])
-        else:
-            miss_off.append(off)
-    if miss_off:
-        cells = [campaign.cells[shard.start + off] for off in miss_off]
-        assert kind.execute_batch is not None
-        for off, (doc, wall_ns) in zip(miss_off, kind.execute_batch(cells)):
-            results[off] = doc
-            wall[off] = wall_ns
-            if kind.cacheable and cache is not None:
-                from repro.io.results_json import run_result_from_dict
-
-                cell = campaign.cells[shard.start + off]
-                cache.put(
-                    campaign.cell_keys[shard.start + off],
-                    kind.cell_to_dict(cell),
-                    run_result_from_dict(doc),
-                )
-            store.heartbeat(shard.shard_id, owner, clock)
-            if on_cell is not None:
-                on_cell(False)
-            if telemetry is not None:
-                telemetry.cell_done(
-                    False, events=int(doc.get("events", 0)), wall_ns=wall_ns
-                )
-        if telemetry is not None:
-            telemetry.batch_slice()
-    store.write_manifest(
-        campaign,
-        shard,
-        results,  # type: ignore[arg-type]  # every slot filled above
-        cached_flags,
-        wall,
-        owner,
-        time.perf_counter_ns() - t_shard,
-    )
-    return len(miss_off), hits
+    hits = sum(cached_flags)
+    return len(results) - hits, hits
 
 
 def work(
@@ -730,7 +660,6 @@ def work(
     progress=None,
     metrics=None,
     clock: Callable[[], float] = time.monotonic,
-    batch: bool = False,
     telemetry: bool = False,
 ) -> WorkStats:
     """Drive one campaign directory toward completion from this process.
@@ -743,9 +672,6 @@ def work(
     they are reclaimed and executed here.  ``wait=False`` returns as
     soon as no shard is claimable.  ``max_shards`` stops after this call
     has executed that many shards (used by tests and incremental runs).
-    ``batch=True`` executes each shard's cache misses as one streaming
-    batch (sweep kind only — identical manifests, shared task-set
-    materialization; other kinds fall back to cell-by-cell).
     ``telemetry=True`` appends an NDJSON telemetry stream under
     ``<dir>/telemetry/<owner>.ndjson`` (:mod:`repro.obs.telemetry`) and
     enables kernel phase profiling — observation only, results and
@@ -782,7 +708,6 @@ def work(
             owner=who,
             campaign=campaign.campaign_key,
             backend=backend,
-            batch=batch,
         )
     claimed = 0
     skipped = 0
@@ -838,12 +763,12 @@ def work(
                         with spans.span("execute"):
                             ran, h = _execute_shard(
                                 store, campaign, shard, who, cache, clock,
-                                on_cell, batch, tele,
+                                on_cell, tele,
                             )
                     else:
                         ran, h = _execute_shard(
                             store, campaign, shard, who, cache, clock,
-                            on_cell, batch, tele,
+                            on_cell, tele,
                         )
                 finally:
                     store.release(shard.shard_id, who)
@@ -880,7 +805,6 @@ def _work_entry(
     owner: str,
     cache_dir: Optional[str],
     lease_ttl: float,
-    batch: bool = False,
     telemetry: bool = False,
 ) -> WorkStats:
     """Module-level pool entry point (picklable)."""
@@ -891,7 +815,6 @@ def _work_entry(
         cache=cache,
         lease_ttl=lease_ttl,
         wait=False,
-        batch=batch,
         telemetry=telemetry,
     )
 
@@ -904,7 +827,6 @@ def run_workers(
     progress=None,
     metrics=None,
     max_shards: Optional[int] = None,
-    batch: bool = False,
     telemetry: bool = False,
 ) -> WorkStats:
     """Drive a campaign with *jobs* worker processes (1 = in-process).
@@ -926,7 +848,6 @@ def run_workers(
             progress=progress,
             metrics=metrics,
             max_shards=max_shards,
-            batch=batch,
             telemetry=telemetry,
         )
     store = CampaignStore(directory)
@@ -944,7 +865,6 @@ def run_workers(
                     f"{_default_owner()}:w{i}",
                     cache_dir,
                     lease_ttl,
-                    batch,
                     telemetry,
                 )
                 for i in range(workers)
@@ -965,7 +885,6 @@ def run_workers(
         lease_ttl=lease_ttl,
         progress=progress,
         metrics=metrics,
-        batch=batch,
         telemetry=telemetry,
     )
     merged = stats.merged(tail)
@@ -1159,16 +1078,54 @@ def _emit_provenance(
     return write_manifest(manifest, provenance_path(dest))
 
 
+def _write_sweep_artifact(
+    campaign: ShardedCampaign, dest: pathlib.Path, docs: Iterable[Dict[str, Any]]
+) -> Tuple[str, List[str]]:
+    """Stream result *docs* into *campaign*'s merged sweep artifact at *dest*.
+
+    The one writer body behind :func:`write_merged_results` and
+    :func:`write_results_artifact`: canonical JSON over the campaign
+    key, the ordered result list and a small aggregate summary, written
+    atomically.  Returns the artifact's sha256 (hashed in the same pass)
+    and the per-cell digests for the provenance manifest.
+    """
+    from repro.io.canonical import canonical_json, sha256_hex
+
+    cells = 0
+    truncated = 0
+    events_total = 0
+    digests: List[str] = []
+    with atomic_writer(dest) as raw:
+        fh = _HashingWriter(raw)
+        fh.write(
+            '{"campaign":"%s","format":"%s","results":['
+            % (campaign.campaign_key, MERGED_SWEEP_FORMAT)
+        )
+        for doc in docs:
+            if cells:
+                fh.write(",")
+            text = canonical_json(doc)
+            fh.write(text)
+            digests.append(sha256_hex(text))
+            cells += 1
+            truncated += 1 if doc.get("truncated") else 0
+            events_total += int(doc.get("events", 0))
+        summary = {"cells": cells, "truncated": truncated, "events_total": events_total}
+        fh.write(
+            '],"summary":%s,"version":%d}\n'
+            % (canonical_json(summary), MERGED_SWEEP_VERSION)
+        )
+    return fh.hexdigest(), digests
+
+
 def write_merged_results(
     directory: Pathish, out: Optional[Pathish] = None
 ) -> pathlib.Path:
     """Stream a completed sweep campaign into its merged artifact.
 
-    The document is canonical JSON (sorted keys, compact separators)
-    over the campaign key and the ordered result list plus a small
-    aggregate summary, written atomically.  Because every cell is
-    deterministic, the bytes depend only on the campaign — not on which
-    workers ran it, in how many attempts, or how it was interrupted.
+    Because every cell is deterministic, the bytes depend only on the
+    campaign — not on which workers ran it, in how many attempts, or how
+    it was interrupted.
 
     A ``repro-provenance`` manifest (cell keys + per-cell digests +
     artifact sha256 + per-shard owners) is written as a sibling file via
@@ -1178,32 +1135,11 @@ def write_merged_results(
     store = CampaignStore(directory)
     campaign = store.load()
     dest = pathlib.Path(out) if out is not None else store.merged_path
-    cells = 0
-    truncated = 0
-    events_total = 0
-    digests: List[str] = []
     owners: List[Dict[str, Any]] = []
-    with atomic_writer(dest) as raw:
-        fh = _HashingWriter(raw)
-        fh.write(
-            '{"campaign":"%s","format":"%s","results":['
-            % (campaign.campaign_key, MERGED_SWEEP_FORMAT)
-        )
-        for doc in _iter_docs_collect_owners(store, campaign, owners):
-            if cells:
-                fh.write(",")
-            text = json.dumps(doc, **_CANON)
-            fh.write(text)
-            digests.append(hashlib.sha256(text.encode("utf-8")).hexdigest())
-            cells += 1
-            truncated += 1 if doc.get("truncated") else 0
-            events_total += int(doc.get("events", 0))
-        summary = {"cells": cells, "truncated": truncated, "events_total": events_total}
-        fh.write(
-            '],"summary":%s,"version":%d}\n'
-            % (json.dumps(summary, **_CANON), MERGED_SWEEP_VERSION)
-        )
-    _emit_provenance(campaign, dest, fh.hexdigest(), digests, owners)
+    sha, digests = _write_sweep_artifact(
+        campaign, dest, _iter_docs_collect_owners(store, campaign, owners)
+    )
+    _emit_provenance(campaign, dest, sha, digests, owners)
     return dest
 
 
@@ -1228,31 +1164,9 @@ def write_results_artifact(
         raise ValueError(f"{len(specs)} specs but {len(results)} results")
     campaign = ShardedCampaign("sweep", list(specs), shard_size=shard_size)
     dest = pathlib.Path(out)
-    cells = 0
-    truncated = 0
-    events_total = 0
-    digests: List[str] = []
-    with atomic_writer(dest) as raw:
-        fh = _HashingWriter(raw)
-        fh.write(
-            '{"campaign":"%s","format":"%s","results":['
-            % (campaign.campaign_key, MERGED_SWEEP_FORMAT)
-        )
-        for result in results:
-            doc = run_result_to_dict(result)
-            if cells:
-                fh.write(",")
-            text = json.dumps(doc, **_CANON)
-            fh.write(text)
-            digests.append(hashlib.sha256(text.encode("utf-8")).hexdigest())
-            cells += 1
-            truncated += 1 if doc.get("truncated") else 0
-            events_total += int(doc.get("events", 0))
-        summary = {"cells": cells, "truncated": truncated, "events_total": events_total}
-        fh.write(
-            '],"summary":%s,"version":%d}\n'
-            % (json.dumps(summary, **_CANON), MERGED_SWEEP_VERSION)
-        )
+    sha, digests = _write_sweep_artifact(
+        campaign, dest, (run_result_to_dict(r) for r in results)
+    )
     owners = [
         {"index": s.index, "shard": s.shard_id, "owner": owner}
         for s in campaign.shards
@@ -1263,7 +1177,7 @@ def write_results_artifact(
         dest.with_name(dest.stem + ".campaign.json"),
         json.dumps(campaign.to_dict(), indent=2) + "\n",
     )
-    _emit_provenance(campaign, dest, fh.hexdigest(), digests, owners)
+    _emit_provenance(campaign, dest, sha, digests, owners)
     return dest
 
 
@@ -1287,6 +1201,8 @@ def write_merged_scorecard(
     :class:`~repro.faults.campaign.ScorecardSummaryAccumulator` — the
     whole outcome list is never resident at once.
     """
+    from repro.io.canonical import canonical_json, sha256_hex
+
     store = CampaignStore(directory)
     campaign = store.load()
     dest = pathlib.Path(out) if out is not None else store.merged_path
@@ -1298,7 +1214,7 @@ def write_merged_scorecard(
         fh = _HashingWriter(raw)
         fh.write(
             '{"degradation":%s,"format":"%s","outcomes":['
-            % (json.dumps(degradation, **_CANON), SCORECARD_FORMAT)
+            % (canonical_json(degradation), SCORECARD_FORMAT)
         )
         first = True
         for doc in _iter_docs_collect_owners(store, campaign, owners):
@@ -1307,12 +1223,12 @@ def write_merged_scorecard(
             if not first:
                 fh.write(",")
             first = False
-            text = json.dumps(outcome.to_dict(), **_CANON)
+            text = canonical_json(outcome.to_dict())
             fh.write(text)
-            digests.append(hashlib.sha256(text.encode("utf-8")).hexdigest())
+            digests.append(sha256_hex(text))
         fh.write(
             '],"summary":%s,"version":%d}\n'
-            % (json.dumps(acc.summary(), **_CANON), SCORECARD_VERSION)
+            % (canonical_json(acc.summary()), SCORECARD_VERSION)
         )
     _emit_provenance(campaign, dest, fh.hexdigest(), digests, owners)
     return dest
@@ -1422,7 +1338,6 @@ class ShardedBackend(SweepExecutor):
         lease_ttl: float = 60.0,
         metrics=None,
         progress=None,
-        batch_cells: bool = False,
         telemetry: bool = False,
     ) -> None:
         super().__init__(cache=cache, metrics=metrics, progress=progress)
@@ -1432,9 +1347,6 @@ class ShardedBackend(SweepExecutor):
         self.jobs = jobs
         self.shard_size = shard_size
         self.lease_ttl = lease_ttl
-        #: Execute each shard's misses as one streaming batch (task-set
-        #: reuse within the shard; manifests stay byte-identical).
-        self.batch_cells = batch_cells
         #: Write per-worker telemetry streams + kernel phase profiles
         #: (observation only; results are byte-identical either way).
         self.telemetry = telemetry
@@ -1460,7 +1372,6 @@ class ShardedBackend(SweepExecutor):
             lease_ttl=self.lease_ttl,
             progress=self.progress,
             metrics=self.metrics,
-            batch=self.batch_cells,
             telemetry=self.telemetry,
         )
         if self.progress is not None:
@@ -1489,7 +1400,6 @@ class ShardedBackend(SweepExecutor):
                         events=result.events,
                         truncated=result.truncated,
                         backend=spec.kernel.backend,
-                        batched=self.batch_cells and not bool(cached[off]),
                     )
                 )
                 self.metrics.histogram("executor.cell.ns").record(int(wall[off]))

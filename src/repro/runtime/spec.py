@@ -28,7 +28,7 @@ same experiment.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.model.taskset import TaskSet
 from repro.runtime.registry import monitor_registry
@@ -89,6 +89,25 @@ class TaskSetSpec:
 
             return taskset_from_json(self.inline)
         return generate_taskset(self.seed, self.params)
+
+    def materialize_shared(
+        self, tasksets: Optional[Dict["TaskSetSpec", TaskSet]]
+    ) -> TaskSet:
+        """:meth:`materialize` at most once per *tasksets* sharing scope.
+
+        Every cell an executor runs in one scope (one serial ``run()``,
+        one pool slice, one file-queue shard, one service lease grant)
+        passes the same dict, so cells that reference the same task set
+        reuse one instance — safe because a
+        :class:`~repro.model.taskset.TaskSet` is immutable and no
+        simulation mutates it.  ``None`` materializes afresh.
+        """
+        if tasksets is None:
+            return self.materialize()
+        ts = tasksets.get(self)
+        if ts is None:
+            ts = tasksets[self] = self.materialize()
+        return ts
 
     @property
     def label(self) -> str:

@@ -39,7 +39,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.io.canonical import doc_digest
+from repro.io.canonical import canonical_json, doc_digest
 from repro.runtime.shard import (
     CampaignStore,
     ShardedCampaign,
@@ -57,7 +57,6 @@ __all__ = ["JOURNAL_NAME", "Coordinator", "serve"]
 
 JOURNAL_NAME = "coordinator.journal"
 
-_CANON = dict(sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 @dataclass
@@ -157,7 +156,7 @@ class Coordinator:
         return self.root / JOURNAL_NAME
 
     def _journal(self, event: Dict[str, Any]) -> None:
-        append_line(self.journal_path, json.dumps(event, **_CANON))
+        append_line(self.journal_path, canonical_json(event))
 
     def recover(self) -> None:
         """Rebuild state from the root: manifests first, then the journal.
@@ -528,7 +527,7 @@ class Coordinator:
             return wire.ErrorReply(reason=f"unknown campaign {msg.campaign[:12]}")
         append_line(
             telemetry_path(state.cdir, msg.owner),
-            json.dumps(msg.record, **_CANON),
+            canonical_json(msg.record),
         )
         return wire.TelemetryOk()
 

@@ -33,6 +33,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Tuple, Type
 
+from repro.io.canonical import canonical_json
+
 __all__ = [
     "PROTOCOL_FORMAT",
     "PROTOCOL_VERSION",
@@ -72,7 +74,6 @@ __all__ = [
 PROTOCOL_FORMAT = "repro-serve"
 PROTOCOL_VERSION = 1
 
-_CANON = dict(sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 class ProtocolError(ValueError):
@@ -368,7 +369,7 @@ def encode_message(msg: Message) -> bytes:
     """One wire frame: canonical JSON object + ``"\\n"``."""
     doc = dataclasses.asdict(msg)
     doc["type"] = msg.TYPE
-    return (json.dumps(doc, **_CANON) + "\n").encode("utf-8")
+    return (canonical_json(doc) + "\n").encode("utf-8")
 
 
 def decode_message(line: str) -> Message:

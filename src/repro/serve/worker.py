@@ -146,39 +146,27 @@ class WorkerClient:
     def _execute_grant(
         self, grant: wire.LeaseGrant
     ) -> List[Tuple[int, Dict[str, Any], bool, int]]:
-        """Run every granted cell; returns (pos, doc, cached, wall_ns) rows."""
+        """Run every granted cell; returns (pos, doc, cached, wall_ns) rows.
+
+        The grant is one task-set sharing scope; the per-cell loop is
+        the file queue's (:func:`repro.runtime.shard.get_kind`).
+        """
         kind = get_kind(grant.kind)
         cells = [kind.cell_from_dict(dict(doc)) for doc in grant.cells]
+        keys = list(grant.cell_keys[: len(cells)])
+        keys += [""] * (len(cells) - len(keys))
         rows: List[Tuple[int, Dict[str, Any], bool, int]] = []
         writer = self._telemetry_writer(grant)
         try:
-            for off, cell in enumerate(cells):
-                pos = grant.start + off
-                key = grant.cell_keys[off] if off < len(grant.cell_keys) else ""
-                t0 = time.perf_counter_ns()
-                doc: Optional[Dict[str, Any]] = None
-                was_cached = False
-                if kind.cacheable and self.cache is not None and key:
-                    hit = self.cache.get(key)
-                    if hit is not None:
-                        from repro.io.results_json import run_result_to_dict
-
-                        doc = run_result_to_dict(hit)
-                        was_cached = True
-                        self.cache_hits += 1
-                if doc is None:
-                    doc = kind.execute(cell)
+            for doc, was_cached, wall_ns in kind.run_cells(cells, keys, self.cache):
+                rows.append((grant.start + len(rows), doc, was_cached, wall_ns))
+                if was_cached:
+                    self.cache_hits += 1
+                else:
                     self.cells_run += 1
-                    if kind.cacheable and self.cache is not None and key:
-                        from repro.io.results_json import run_result_from_dict
-
-                        self.cache.put(key, kind.cell_to_dict(cell),
-                                       run_result_from_dict(doc))
-                rows.append((pos, doc, was_cached, time.perf_counter_ns() - t0))
                 if writer is not None:
                     writer.cell_done(
-                        was_cached, events=int(doc.get("events", 0)),
-                        wall_ns=rows[-1][3],
+                        was_cached, events=int(doc.get("events", 0)), wall_ns=wall_ns
                     )
         finally:
             if writer is not None:

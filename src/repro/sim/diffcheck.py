@@ -26,8 +26,6 @@ claim is event-for-event equivalence, not merely set equivalence.
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 import random
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -309,8 +307,11 @@ def fingerprint_digest(fp: Dict[str, object]) -> str:
     other digests.  Used by the fault campaigns to compare whole runs
     across executor backends by a single stable token.
     """
-    doc = json.dumps(fp, sort_keys=True, separators=(",", ":"), allow_nan=False)
-    return hashlib.sha256(doc.encode("utf-8")).hexdigest()
+    # Imported lazily: repro.io initializes through the experiments and
+    # runtime packages, which build on this module.
+    from repro.io.canonical import canonical_json, sha256_hex
+
+    return sha256_hex(canonical_json(fp))
 
 
 def run_dispatcher(

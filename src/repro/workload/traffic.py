@@ -54,6 +54,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.io.canonical import canonical_json
 from repro.model.behavior import ExecutionBehavior
 from repro.model.task import CriticalityLevel, Task
 from repro.model.taskset import TaskSet
@@ -83,7 +84,6 @@ __all__ = [
 #: (10_000), so augmented task sets can never collide.
 TRAFFIC_BASE_ID = 20_000
 
-_CANON = dict(sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 #: Supported per-arrival demand distributions.
 _DEMANDS = ("exp", "fixed")
@@ -466,7 +466,7 @@ def source_from_dict(doc: Dict[str, Any]) -> Any:
 # ----------------------------------------------------------------------
 def _arrivals_to_ndjson(arrivals: Sequence[Arrival]) -> str:
     lines = [
-        json.dumps({"demand": a.demand, "t": a.time}, **_CANON)
+        canonical_json({"demand": a.demand, "t": a.time})
         for a in arrivals
     ]
     return "\n".join(lines) + ("\n" if lines else "")
@@ -664,7 +664,7 @@ class TrafficSpec:
     # -- serialization -------------------------------------------------
     def canonical_json(self) -> str:
         """Canonical JSON text (sorted keys, fixed separators)."""
-        return json.dumps(traffic_to_dict(self), **_CANON)
+        return canonical_json(traffic_to_dict(self))
 
 
 def traffic_to_dict(spec: TrafficSpec) -> Dict[str, Any]:

@@ -3,7 +3,7 @@
 Pins the acceptance criteria of the traffic layer:
 
 * both kernel backends produce identical fingerprints on traffic cells;
-* serial / pool / batched execution agree bit-for-bit on traffic grids;
+* serial / pool / sharded execution agree bit-for-bit on traffic grids;
 * attaching traffic to a RunSpec changes its cache key, while specs
   *without* traffic keep their exact pre-traffic canonical JSON;
 * the sweep + figure helpers produce sane axes;

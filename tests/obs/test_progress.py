@@ -132,35 +132,3 @@ class TestWindowedRate:
         rep, buf, clock = make()
         rep.begin(10)
         assert rep.rate(clock.t) == 0.0
-
-
-class TestBatchSlices:
-    def test_slice_count_appears_in_lines(self):
-        rep, buf, clock = make(min_interval=0.0)
-        rep.begin(8)
-        for _ in range(4):
-            clock.t += 1.0
-            rep.cell_done()
-        rep.batch_slice()
-        clock.t += 1.0
-        rep.cell_done()
-        assert "slice 1" in buf.getvalue().splitlines()[-1]
-        rep.batch_slice()
-        clock.t += 1.0
-        rep.cell_done()
-        assert "slice 2" in buf.getvalue().splitlines()[-1]
-
-    def test_no_slice_marker_without_batching(self):
-        rep, buf, clock = make(min_interval=0.0)
-        rep.begin(2)
-        clock.t += 1.0
-        rep.cell_done()
-        assert "slice" not in buf.getvalue()
-
-    def test_begin_resets_slices(self):
-        rep, buf, clock = make(min_interval=0.0)
-        rep.begin(2)
-        rep.batch_slice()
-        assert rep.batch_slices == 1
-        rep.begin(2)
-        assert rep.batch_slices == 0

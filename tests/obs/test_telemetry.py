@@ -228,6 +228,21 @@ class TestAggregatorDeterminism:
         assert agg["workers"] == {}
         assert agg["totals"]["cells_done"] == 0
 
+    def test_streams_with_retired_batch_fields_still_aggregate(self):
+        """Streams written before batch mode was removed carry
+        ``batch_slices``/``batch``; readers accept and ignore them."""
+        agg = TelemetryAggregator()
+        agg.add_records([
+            {"rec": "meta", "format": "repro-telemetry", "version": 1,
+             "owner": "old", "campaign": "cafe", "start": 0.0, "mono_start": 0.0},
+            {"rec": "sample", "seq": 0, "wall": 2.0, "mono": 2.0, "cells_done": 4,
+             "events": 40, "batch_slices": 2, "batch": True, "backend": "soa"},
+        ])
+        doc = agg.aggregate()
+        assert doc["totals"]["cells_done"] == 4
+        assert "batch_slices" not in doc["totals"]
+        assert "batch" not in doc["workers"]["old"]
+
 
 class TestWorkerStatuses:
     def test_states_from_files_alone(self, tmp_path):

@@ -126,3 +126,20 @@ class TestExecutorIntegration:
         assert ex.stats.pool_breaks == 2
         assert ex.stats.pool_retried == 2
         assert ex.stats.pool_serial_fallback == 1
+
+    def test_degradation_counts_cells_not_slices(self, specs, patch_pool):
+        """Slices of 2 cells: one break after the first slice re-runs one
+        slice, which SweepStats reports as its 2 cells."""
+        from repro.runtime.executor import ProcessPoolBackend, SerialBackend
+
+        cells = specs + specs[:1]
+        expected = SerialBackend().run(cells)
+        patch_pool(_FlakyPoolFactory(break_first=1, yield_before_break=1))
+        ex = ProcessPoolBackend(jobs=2, chunksize=2)
+        results = ex.run(cells)
+        assert [r.dissipation for r in results] == [
+            r.dissipation for r in expected
+        ]
+        assert ex.stats.pool_breaks == 1
+        assert ex.stats.pool_retried == 2
+        assert ex.stats.pool_serial_fallback == 0

@@ -385,12 +385,13 @@ from repro.runtime.shard import work
 # touch a beacon file after the first cell, then keep working.
 import repro.runtime.shard as shard
 orig = shard._execute_shard
-def beaconed(store, campaign, s, owner, cache, clock, on_cell=None):
+def beaconed(store, campaign, s, owner, cache, clock, on_cell=None,
+             telemetry=None):
     def tick(cached):
         open(sys.argv[2], "a").write("cell\\n")
         if on_cell is not None:
             on_cell(cached)
-    return orig(store, campaign, s, owner, cache, clock, tick)
+    return orig(store, campaign, s, owner, cache, clock, tick, telemetry)
 shard._execute_shard = beaconed
 work(sys.argv[1], owner="victim", lease_ttl=0.5)
 """
