@@ -1,30 +1,14 @@
-"""Simulator micro-benchmarks: raw event throughput and analysis cost.
+"""Simulator micro-benchmarks: task-set generation and analysis cost.
 
-Not a paper figure — these track the substrate's own performance so
-regressions in the kernel/engine hot path are visible.
+Not a paper figure — these track the substrate's own performance.
+Kernel event throughput is gated by ``bench_kernel_throughput.py``.
 """
 
 from __future__ import annotations
 
 
 from repro.analysis.bounds import gel_response_bounds
-from repro.model.behavior import ConstantBehavior
-from repro.sim.kernel import MC2Kernel
 from repro.workload.generator import generate_taskset
-
-
-def bench_kernel_event_throughput(benchmark, tasksets):
-    """Events/second through the full MC² kernel on a paper workload."""
-    ts = tasksets[0]
-
-    def run():
-        kernel = MC2Kernel(ts, behavior=ConstantBehavior())
-        kernel.run(2.0)
-        return kernel.engine.events_processed
-
-    events = benchmark(run)
-    assert events > 1000
-    benchmark.extra_info["events"] = events
 
 
 def bench_taskset_generation(benchmark):

@@ -167,10 +167,11 @@ def _add_executor_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--shard-size", type=int, default=16, metavar="N",
                         help="cells per checkpoint shard (default: 16)")
     parser.add_argument("--telemetry", action="store_true",
-                        help="enable kernel phase profiling and (with "
-                             "--checkpoint-dir) per-worker NDJSON telemetry "
-                             "streams readable by repro-mc2 status/top "
-                             "(observation only; results are identical)")
+                        help="write per-worker NDJSON telemetry streams "
+                             "(with kernel phase profiles) into the campaign "
+                             "directory for repro-mc2 status/top; requires "
+                             "--checkpoint-dir (observation only; results "
+                             "are identical)")
     parser.add_argument("--service", metavar="HOST:PORT",
                         help="route the sweep through a running repro-mc2 "
                              "serve coordinator instead of executing locally "
@@ -327,9 +328,10 @@ def build_parser() -> argparse.ArgumentParser:
     fr.add_argument("--shard-size", type=int, default=16, metavar="N",
                     help="cells per checkpoint shard (default: 16)")
     fr.add_argument("--telemetry", action="store_true",
-                    help="enable kernel phase profiling and (with "
-                         "--checkpoint-dir) per-worker telemetry streams "
-                         "for repro-mc2 status/top (observation only)")
+                    help="write per-worker telemetry streams (with kernel "
+                         "phase profiles) into the campaign directory for "
+                         "repro-mc2 status/top; requires --checkpoint-dir "
+                         "(observation only)")
 
     fres = fsub.add_parser("resume",
                            help="re-attach to a checkpointed fault campaign "
@@ -707,10 +709,6 @@ def _cmd_faults(args: argparse.Namespace) -> int:
                   f"({stats.shards_claimed} shard(s) executed, "
                   f"{stats.shards_skipped} already done)", file=sys.stderr)
         else:
-            if args.telemetry:
-                from repro.obs.telemetry import enable_phase_profiling
-
-                enable_phase_profiling(True)
             scorecard = run_campaign(build_campaign(config), jobs=args.jobs,
                                      progress=progress)
         if args.out:
@@ -1054,7 +1052,14 @@ def _cmd_top(args: argparse.Namespace) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if (getattr(args, "telemetry", False) and "checkpoint_dir" in vars(args)
+            and not args.checkpoint_dir):
+        # Only checkpointed campaign workers have a telemetry writer;
+        # anywhere else the flag would profile into the void.
+        parser.error("--telemetry needs --checkpoint-dir (telemetry streams "
+                     "are written into the checkpointed campaign directory)")
     handlers = {
         "generate": _cmd_generate,
         "analyze": _cmd_analyze,

@@ -34,7 +34,7 @@ import json
 import os
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.faults.invariants import Violation, evaluate_invariants
 from repro.faults.plane import FaultPlane
@@ -64,6 +64,7 @@ __all__ = [
     "run_campaign",
     "Scorecard",
     "ScorecardSummaryAccumulator",
+    "scorecard_json_chunks",
 ]
 
 CAMPAIGN_CELL_FORMAT = "repro-faultcell"
@@ -382,7 +383,6 @@ def run_campaign(
     cells: Sequence[CampaignCell],
     jobs: int = 1,
     progress=None,
-    telemetry=None,
 ) -> "Scorecard":
     """Execute *cells* (serially or on a pool) into a :class:`Scorecard`.
 
@@ -391,11 +391,6 @@ def run_campaign(
     deaths degrade to retry / in-process execution instead of losing
     the campaign.  Outcomes keep submission order and are bit-identical
     across backends (each cell is deterministic in itself).
-
-    *telemetry* (an optional
-    :class:`~repro.obs.telemetry.TelemetryWriter`) receives one
-    ``cell_done`` per outcome — observation only, the scorecard is
-    identical either way.
     """
     cells = list(cells)
     if progress is not None:
@@ -404,8 +399,6 @@ def run_campaign(
     def tick(outcome) -> None:
         if progress is not None:
             progress.cell_done(cached=False)
-        if telemetry is not None:
-            telemetry.cell_done(False, events=outcome.events)
 
     if jobs <= 1 or len(cells) <= 1:
         outcomes: List[CellOutcome] = []
@@ -463,36 +456,10 @@ class Scorecard:
     # -- aggregation ---------------------------------------------------
     def summary(self) -> Dict[str, Any]:
         """Deterministic aggregate figures (what ``render`` prints)."""
-        faulted = [o for o in self.outcomes if o.faulted]
-        baselines = [o for o in self.outcomes if not o.faulted]
-        by_invariant: Dict[str, int] = {}
+        acc = ScorecardSummaryAccumulator(self.degradation)
         for o in self.outcomes:
-            for name, n in o.violation_counts().items():
-                by_invariant[name] = by_invariant.get(name, 0) + n
-        inflations: List[float] = []
-        miss_deltas: List[int] = []
-        for o in faulted:
-            base = self.baseline_for(o)
-            if base is None:
-                continue
-            inflations.append(o.dissipation - base.dissipation)
-            miss_deltas.append(o.miss_count - base.miss_count)
-        return {
-            "cells": len(self.outcomes),
-            "faulted": len(faulted),
-            "fault_free": len(baselines),
-            "violating_cells": sum(1 for o in self.outcomes if not o.ok),
-            "violations": {k: by_invariant[k] for k in sorted(by_invariant)},
-            "truncated": sum(1 for o in self.outcomes if o.truncated),
-            "max_dissipation_inflation": max(inflations) if inflations else 0.0,
-            "mean_dissipation_inflation": (
-                sum(inflations) / len(inflations) if inflations else 0.0
-            ),
-            "max_miss_delta": max(miss_deltas) if miss_deltas else 0,
-            "pool_breaks": self.degradation.breaks,
-            "pool_retried": self.degradation.retried,
-            "pool_serial_fallback": self.degradation.serial_fallback,
-        }
+            acc.add(o)
+        return acc.summary()
 
     def render(self) -> str:
         """Human-readable scorecard (summary + per-violating-cell lines)."""
@@ -532,25 +499,10 @@ class Scorecard:
         return "\n".join(lines)
 
     # -- persistence ---------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "format": SCORECARD_FORMAT,
-            "version": SCORECARD_VERSION,
-            "summary": self.summary(),
-            "degradation": {
-                "retried": self.degradation.retried,
-                "serial_fallback": self.degradation.serial_fallback,
-                "breaks": self.degradation.breaks,
-            },
-            "outcomes": [o.to_dict() for o in self.outcomes],
-        }
-
     def to_json(self) -> str:
         """Canonical JSON — byte-identical for identical campaigns,
         whatever backend executed them."""
-        from repro.io.canonical import canonical_json
-
-        return canonical_json(self.to_dict())
+        return "".join(scorecard_json_chunks(self.outcomes, self.degradation))
 
     @classmethod
     def from_dict(cls, doc: Dict[str, Any]) -> "Scorecard":
@@ -580,22 +532,24 @@ class Scorecard:
 
 
 class ScorecardSummaryAccumulator:
-    """Streaming :meth:`Scorecard.summary` over outcomes fed one at a time.
+    """:meth:`Scorecard.summary` computed over outcomes fed one at a time.
 
-    The sharded campaign orchestrator (:mod:`repro.runtime.shard`) merges
-    shard manifests without ever materializing the whole outcome list, so
-    the summary has to be computed incrementally.  Feed every outcome (in
-    campaign order) through :meth:`add`; :meth:`summary` then returns a
-    dict equal — key for key, value for value — to what
-    ``Scorecard(outcomes).summary()`` would report for an undegraded
-    (serial / checkpointed) execution of the same cells.
+    The one implementation of the scorecard summary: the in-memory
+    :class:`Scorecard` feeds its outcomes through it, and the streaming
+    scorecard writer (:func:`scorecard_json_chunks`, behind the sharded
+    merge in :mod:`repro.runtime.shard`) feeds outcomes as they are read
+    off shard manifests, without ever materializing the whole list.
+    Feed every outcome (in campaign order) through :meth:`add`; the
+    ``pool_*`` fields come from the *degradation* record of the
+    execution that produced them.
 
     Memory: O(faulted cells) small tuples plus one baseline entry per
     distinct run spec — never the outcomes themselves (each of which
     drags a full RunSpec + FaultPlan along).
     """
 
-    def __init__(self) -> None:
+    def __init__(self, degradation: PoolDegradation = PoolDegradation()) -> None:
+        self._degradation = degradation
         self._cells = 0
         self._violating = 0
         self._truncated = 0
@@ -645,7 +599,47 @@ class ScorecardSummaryAccumulator:
                 sum(inflations) / len(inflations) if inflations else 0.0
             ),
             "max_miss_delta": max(miss_deltas) if miss_deltas else 0,
-            "pool_breaks": 0,
-            "pool_retried": 0,
-            "pool_serial_fallback": 0,
+            "pool_breaks": self._degradation.breaks,
+            "pool_retried": self._degradation.retried,
+            "pool_serial_fallback": self._degradation.serial_fallback,
         }
+
+
+def scorecard_json_chunks(
+    outcomes: Iterable[CellOutcome],
+    degradation: PoolDegradation = PoolDegradation(),
+    digests: Optional[List[str]] = None,
+) -> Iterator[str]:
+    """The canonical ``repro-scorecard`` JSON text, in streamed pieces.
+
+    The one writer of the scorecard layout: :meth:`Scorecard.to_json`
+    joins the pieces, and the sharded merge
+    (:func:`repro.runtime.shard.write_merged_scorecard`) streams them
+    into its artifact while *outcomes* are still being read off shard
+    manifests.  Keys appear in canonical (sorted) order, so the joined
+    text equals the canonical JSON of the whole document.  When
+    *digests* is given, the sha256 of each outcome's canonical text is
+    appended to it (the provenance manifest's per-cell digests).
+    """
+    from repro.io.canonical import canonical_json, sha256_hex
+
+    acc = ScorecardSummaryAccumulator(degradation)
+    deg = {
+        "breaks": degradation.breaks,
+        "retried": degradation.retried,
+        "serial_fallback": degradation.serial_fallback,
+    }
+    yield '{"degradation":%s,"format":"%s","outcomes":[' % (
+        canonical_json(deg),
+        SCORECARD_FORMAT,
+    )
+    for i, outcome in enumerate(outcomes):
+        acc.add(outcome)
+        text = canonical_json(outcome.to_dict())
+        if digests is not None:
+            digests.append(sha256_hex(text))
+        yield "," + text if i else text
+    yield '],"summary":%s,"version":%d}' % (
+        canonical_json(acc.summary()),
+        SCORECARD_VERSION,
+    )

@@ -62,8 +62,6 @@ class ProgressReporter:
         self.total = 0
         self.done = 0
         self.cache_hits = 0
-        self.shards_done = 0
-        self.shards_executed = 0
         self._t0 = 0.0
         self._last_emit = float("-inf")
         self._window: Deque[Tuple[float, int]] = deque()
@@ -74,8 +72,6 @@ class ProgressReporter:
         self.total = total
         self.done = 0
         self.cache_hits = 0
-        self.shards_done = 0
-        self.shards_executed = 0
         self._t0 = self._clock()
         self._last_emit = float("-inf")
         self._window = deque([(self._t0, 0)])
@@ -90,17 +86,6 @@ class ProgressReporter:
         if self.done < self.total and now - self._last_emit < self.min_interval_s:
             return
         self._emit(now, final=self.done >= self.total)
-
-    def shard_done(self, executed: bool = True) -> None:
-        """Record one finished shard of a checkpointed campaign.
-
-        ``executed=False`` means the shard's manifest already existed
-        (resume skipping completed work) — it still counts toward
-        completion, which is what the status line reports.
-        """
-        self.shards_done += 1
-        if executed:
-            self.shards_executed += 1
 
     def set_completed_cells(self, done: int) -> None:
         """Pool-mode progress: the parent observed *done* cells complete.

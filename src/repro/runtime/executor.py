@@ -44,7 +44,7 @@ from __future__ import annotations
 import concurrent.futures
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.experiments.metrics import RunResult
@@ -235,9 +235,10 @@ class SweepExecutor:
     """Common sweep front-end: cache lookups around a simulation backend.
 
     Subclasses implement :meth:`_execute` (simulate these specs, in
-    order); the base class handles cache consultation, write-back and
-    accounting.  ``stats`` describes the most recent :meth:`run`;
-    ``total`` accumulates across the executor's lifetime.
+    order, reporting each cell's wall time); the base class handles
+    cache consultation, write-back and accounting.  ``stats`` describes
+    the most recent :meth:`run`; ``total`` accumulates across the
+    executor's lifetime.
 
     Observability (:mod:`repro.obs`) is layered on top: every
     :meth:`run` rebuilds ``report`` (a per-cell
@@ -270,17 +271,9 @@ class SweepExecutor:
         #: pool backends; stays pristine for serial execution).
         self._degradation = PoolDegradation()
 
-    def _execute(self, specs: Sequence[RunSpec]) -> List[RunResult]:
+    def _execute(self, specs: Sequence[RunSpec]) -> List[Tuple[RunResult, int]]:
+        """Simulate *specs*, in order, reporting ``(result, wall_ns)`` per cell."""
         raise NotImplementedError
-
-    def _execute_timed(self, specs: Sequence[RunSpec]) -> List[Tuple[RunResult, int]]:
-        """Simulate *specs*, reporting (result, wall_ns) per cell.
-
-        Built-in backends override this; a third-party subclass that
-        only implements :meth:`_execute` still works — its cells are
-        simply reported with an unknown (zero) wall time.
-        """
-        return [(r, 0) for r in self._execute(specs)]
 
     def _cell_finished(self, wall_ns: int) -> None:
         """Backend hook: one cell just finished simulating."""
@@ -298,23 +291,10 @@ class SweepExecutor:
             out.append(timed)
         return out
 
-    def _write_merged_out(
-        self, specs: Sequence[RunSpec], results: Sequence[RunResult]
-    ) -> None:
-        """Emit the merged artifact + provenance manifest if requested."""
-        if not self.merged_out:
-            return
-        # Imported lazily: shard builds on this module.
-        from repro.runtime.shard import write_results_artifact
-
-        write_results_artifact(
-            specs, results, self.merged_out, shard_size=self.merged_shard_size
-        )
-
     def run(self, specs: Sequence[RunSpec]) -> List[RunResult]:
         """Results for *specs*, in the same order."""
         specs = list(specs)
-        keys: List[str] = []
+        keys: List[str] = [""] * len(specs)
         results: List[Optional[RunResult]] = [None] * len(specs)
         miss_idx: List[int] = []
         if self.cache is not None:
@@ -327,16 +307,17 @@ class SweepExecutor:
                     miss_idx.append(i)
         else:
             miss_idx = list(range(len(specs)))
+        cached = [r is not None for r in results]
 
         if self.progress is not None:
             self.progress.begin(len(specs))
             for _ in range(len(specs) - len(miss_idx)):
                 self.progress.cell_done(cached=True)
 
-        wall: Dict[int, int] = {}
+        wall = [0] * len(specs)
         self._degradation = PoolDegradation()
         if miss_idx:
-            timed = self._execute_timed([specs[i] for i in miss_idx])
+            timed = self._execute([specs[i] for i in miss_idx])
             for i, (result, wall_ns) in zip(miss_idx, timed):
                 results[i] = result
                 wall[i] = wall_ns
@@ -348,45 +329,79 @@ class SweepExecutor:
         if self.progress is not None:
             self.progress.finish()
 
+        return self._finish_run(
+            specs,
+            keys,
+            results,  # type: ignore[arg-type]
+            cached,
+            wall,
+            simulated=len(miss_idx),
+            degradation=self._degradation,
+        )
+
+    def _finish_run(
+        self,
+        specs: Sequence[RunSpec],
+        keys: Sequence[str],
+        results: List[RunResult],
+        cached: Sequence[bool],
+        wall_ns: Sequence[int],
+        simulated: int,
+        degradation: PoolDegradation,
+    ) -> List[RunResult]:
+        """Record one finished :meth:`run` and return its *results*.
+
+        The one tail of every backend's ``run()``: rebuilds ``report``
+        from the per-cell *keys* (``""`` when unknown), *cached* flags
+        and *wall_ns*, bumps the ``executor.*`` counters, sets ``stats``
+        (*simulated* cells, the rest counted as cache hits, pool
+        figures from *degradation*), adds it into ``total``, and writes
+        the ``--merged-out`` artifact when one is requested.
+        """
         self.report = SweepReport(
             cells=[
                 CellReport(
                     index=i,
-                    key=(keys[i][:12] if keys else ""),
+                    key=key[:12],
                     scenario=spec.scenario.name,
                     monitor=spec.monitor.label,
-                    cached=i not in wall,
-                    wall_ns=wall.get(i, 0),
+                    cached=hit,
+                    wall_ns=ns,
                     sim_end=result.sim_end,
                     events=result.events,
                     truncated=result.truncated,
                     backend=spec.kernel.backend,
                 )
-                for i, (spec, result) in enumerate(zip(specs, results))
+                for i, (spec, key, result, hit, ns) in enumerate(
+                    zip(specs, keys, results, cached, wall_ns)
+                )
             ]
         )
-        self.metrics.counter("executor.cells").inc(len(specs))
-        self.metrics.counter("executor.cache_hits").inc(len(specs) - len(miss_idx))
-
-        deg = self._degradation
+        n = len(specs)
+        self.metrics.counter("executor.cells").inc(n)
+        self.metrics.counter("executor.cache_hits").inc(n - simulated)
         self.stats = SweepStats(
-            cells_total=len(specs),
-            cells_simulated=len(miss_idx),
-            cache_hits=len(specs) - len(miss_idx),
-            pool_retried=deg.retried,
-            pool_serial_fallback=deg.serial_fallback,
-            pool_breaks=deg.breaks,
+            cells_total=n,
+            cells_simulated=simulated,
+            cache_hits=n - simulated,
+            pool_retried=degradation.retried,
+            pool_serial_fallback=degradation.serial_fallback,
+            pool_breaks=degradation.breaks,
         )
         self.total = SweepStats(
-            cells_total=self.total.cells_total + self.stats.cells_total,
-            cells_simulated=self.total.cells_simulated + self.stats.cells_simulated,
-            cache_hits=self.total.cache_hits + self.stats.cache_hits,
-            pool_retried=self.total.pool_retried + deg.retried,
-            pool_serial_fallback=self.total.pool_serial_fallback + deg.serial_fallback,
-            pool_breaks=self.total.pool_breaks + deg.breaks,
+            *(
+                getattr(self.total, f.name) + getattr(self.stats, f.name)
+                for f in fields(SweepStats)
+            )
         )
-        self._write_merged_out(specs, results)  # type: ignore[arg-type]
-        return results  # type: ignore[return-value]
+        if self.merged_out:
+            # Imported lazily: shard builds on this module.
+            from repro.runtime.shard import write_results_artifact
+
+            write_results_artifact(
+                specs, results, self.merged_out, shard_size=self.merged_shard_size
+            )
+        return results
 
 
 class SerialBackend(SweepExecutor):
@@ -396,10 +411,7 @@ class SerialBackend(SweepExecutor):
     scope.
     """
 
-    def _execute(self, specs: Sequence[RunSpec]) -> List[RunResult]:
-        return [r for r, _ in self._execute_timed(specs)]
-
-    def _execute_timed(self, specs: Sequence[RunSpec]) -> List[Tuple[RunResult, int]]:
+    def _execute(self, specs: Sequence[RunSpec]) -> List[Tuple[RunResult, int]]:
         return self._execute_in_process(specs)
 
 
@@ -436,10 +448,7 @@ class ProcessPoolBackend(SweepExecutor):
             raise ValueError(f"chunksize must be >= 1, got {chunksize}")
         self.chunksize = chunksize
 
-    def _execute(self, specs: Sequence[RunSpec]) -> List[RunResult]:
-        return [r for r, _ in self._execute_timed(specs)]
-
-    def _execute_timed(self, specs: Sequence[RunSpec]) -> List[Tuple[RunResult, int]]:
+    def _execute(self, specs: Sequence[RunSpec]) -> List[Tuple[RunResult, int]]:
         if len(specs) <= 1 or self.jobs == 1:
             # Not worth a pool; also keeps single-cell CLI runs fork-free.
             return self._execute_in_process(specs)
@@ -479,7 +488,6 @@ class ProcessPoolBackend(SweepExecutor):
 def make_executor(
     jobs: int = 1,
     cache_dir: Optional[str] = None,
-    max_entries: Optional[int] = None,
     metrics: Optional[MetricsRegistry] = None,
     progress: Optional[ProgressReporter] = None,
     checkpoint_dir: Optional[str] = None,
@@ -510,16 +518,18 @@ def make_executor(
     identical either way.  Mutually exclusive with ``checkpoint_dir``
     (the coordinator owns its own campaign directories).
 
-    ``--telemetry`` turns on kernel phase profiling
-    (:mod:`repro.obs.telemetry`) and, on the sharded backend, per-worker
-    NDJSON telemetry streams next to the heartbeat files.  Observation
-    only: results and cache keys are identical either way.
+    ``--telemetry`` makes the sharded backend's workers write per-worker
+    NDJSON telemetry streams (with kernel phase profiles) next to their
+    heartbeat files.  Observation only: results and cache keys are
+    identical either way.  It needs ``checkpoint_dir``: no other backend
+    has a telemetry writer, so the flag is refused there.
     """
-    if telemetry:
-        from repro.obs.telemetry import enable_phase_profiling
-
-        enable_phase_profiling(True)
-    cache = ResultCache(cache_dir, max_entries=max_entries) if cache_dir else None
+    if telemetry and not checkpoint_dir:
+        raise ValueError(
+            "--telemetry needs --checkpoint-dir: telemetry streams are "
+            "written into the checkpointed campaign directory"
+        )
+    cache = ResultCache(cache_dir) if cache_dir else None
     executor: SweepExecutor
     if service_addr:
         if checkpoint_dir:

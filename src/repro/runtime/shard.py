@@ -31,11 +31,11 @@ happened to retain.  This module makes campaign execution *durable*:
   every shard has a valid manifest, and *resume* is nothing more than
   executing the shards that don't.
 
-* **Streaming reduce.**  Merging walks shard manifests in order and
-  feeds results one at a time into incremental accumulators
-  (:func:`write_merged_results`,
-  :func:`~repro.faults.campaign.ScorecardSummaryAccumulator`), so the
-  final artifact is produced without ever holding the whole campaign's
+* **Streaming reduce.**  Merging walks shard manifests in order
+  (:func:`iter_result_rows`, one parse per manifest) and feeds results
+  one at a time into the artifact writers (:func:`write_merged_results`,
+  :func:`~repro.faults.campaign.scorecard_json_chunks`), so the final
+  artifact is produced without ever holding the whole campaign's
   results in memory — and it is byte-identical to what an uninterrupted
   in-memory run would have saved.
 
@@ -77,17 +77,15 @@ from typing import (
 
 from repro.experiments.metrics import RunResult
 from repro.faults.campaign import (
-    SCORECARD_FORMAT,
-    SCORECARD_VERSION,
     CampaignCell,
     CellOutcome,
     Scorecard,
-    ScorecardSummaryAccumulator,
     run_cell,
+    scorecard_json_chunks,
 )
 from repro.obs.report import ShardReport
 from repro.runtime.cache import ResultCache
-from repro.runtime.executor import SweepExecutor, SweepStats, run_spec
+from repro.runtime.executor import PoolDegradation, SweepExecutor, run_spec
 from repro.runtime.spec import RunSpec
 from repro.util.atomicio import atomic_write_text, atomic_writer
 
@@ -111,7 +109,7 @@ __all__ = [
     "prepare_campaign",
     "iter_campaign_dirs",
     "campaign_status",
-    "iter_result_docs",
+    "iter_result_rows",
     "merge_results",
     "write_merged_results",
     "merge_scorecard",
@@ -714,13 +712,7 @@ def work(
     cells_run = 0
     hits = 0
     seen_done: set = set()
-
-    def note_done(shard: ShardSpec, mine: bool) -> None:
-        if shard.shard_id in seen_done:
-            return
-        seen_done.add(shard.shard_id)
-        if progress is not None and hasattr(progress, "shard_done"):
-            progress.shard_done(executed=mine)
+    on_cell = progress.cell_done if progress is not None else None
 
     try:
         while True:
@@ -728,9 +720,8 @@ def work(
             progressed = False
             for shard in pending:
                 if store.shard_done(shard):
-                    if shard.shard_id not in seen_done:
-                        skipped += 1
-                    note_done(shard, mine=False)
+                    skipped += 1
+                    seen_done.add(shard.shard_id)
                     progressed = True
                     continue
                 if max_shards is not None and claimed >= max_shards:
@@ -750,14 +741,11 @@ def work(
                 if store.shard_done(shard):
                     store.release(shard.shard_id, who)
                     skipped += 1
-                    note_done(shard, mine=False)
+                    seen_done.add(shard.shard_id)
                     progressed = True
                     continue
                 if tele is not None:
                     tele.shard_claimed()
-                on_cell = None
-                if progress is not None and hasattr(progress, "cell_done"):
-                    on_cell = lambda cached: progress.cell_done(cached=cached)  # noqa: E731
                 try:
                     if spans is not None:
                         with spans.span("execute"):
@@ -775,7 +763,7 @@ def work(
                 claimed += 1
                 cells_run += ran
                 hits += h
-                note_done(shard, mine=True)
+                seen_done.add(shard.shard_id)
                 if tele is not None:
                     tele.shard_finished()
                 progressed = True
@@ -900,7 +888,7 @@ def run_workers(
 
 def _poll_progress(store: CampaignStore, campaign: ShardedCampaign, progress) -> None:
     """Pool-mode progress: the parent reads completion off the manifests."""
-    if progress is None or not hasattr(progress, "set_completed_cells"):
+    if progress is None:
         return
     done_cells = sum(s.cells for s in campaign.shards if store.shard_done(s))
     progress.set_completed_cells(done_cells)
@@ -980,30 +968,57 @@ def campaign_status(directory: Pathish) -> List[ShardReport]:
 # ----------------------------------------------------------------------
 # Streaming reduce
 # ----------------------------------------------------------------------
-def iter_result_docs(directory: Pathish) -> Iterator[Dict[str, Any]]:
-    """Yield per-cell result documents in campaign cell order.
+def iter_result_rows(
+    store: CampaignStore,
+    campaign: ShardedCampaign,
+    owners: Optional[List[Dict[str, Any]]] = None,
+) -> Iterator[Tuple[Dict[str, Any], bool, int]]:
+    """Yield ``(doc, cached, wall_ns)`` per cell, in campaign cell order.
 
-    Holds at most one shard's manifest in memory at a time.  Raises
-    :class:`IncompleteCampaignError` (listing the missing shard indices)
-    if any shard has no valid manifest.
+    The one reader of shard manifests' per-cell columns: every merge,
+    the sharded executor's report and the coordinator's ``fetch`` go
+    through it.  Each manifest is parsed once and at most one is held
+    in memory at a time.  When *owners* is given, ``{"index", "shard",
+    "owner"}`` is appended to it as each shard streams by, so a merge
+    can stamp worker attribution into its provenance manifest without a
+    second pass.
+
+    Reaching a shard with no valid manifest raises
+    :class:`IncompleteCampaignError` listing that shard and every later
+    missing one — every earlier shard was just read, so the list is
+    complete.  Merges stream into :func:`~repro.util.atomicio.atomic_writer`,
+    so an artifact abandoned this way never replaces a finished one.
     """
-    store = CampaignStore(directory)
-    campaign = store.load()
-    missing = [s.index for s in campaign.shards if not store.shard_done(s)]
-    if missing:
-        raise IncompleteCampaignError(missing)
     for shard in campaign.shards:
         manifest = store.read_manifest(shard)
-        if manifest is None:  # deleted between the check and the read
-            raise IncompleteCampaignError([shard.index])
-        yield from manifest["results"]
+        if manifest is None:
+            later = campaign.shards[shard.index + 1 :]
+            raise IncompleteCampaignError(
+                [shard.index] + [s.index for s in later if not store.shard_done(s)]
+            )
+        if owners is not None:
+            owners.append(
+                {
+                    "index": shard.index,
+                    "shard": shard.shard_id,
+                    "owner": str(manifest.get("owner", "")),
+                }
+            )
+        cached = manifest.get("cached", [False] * shard.cells)
+        wall = manifest.get("wall_ns", [0] * shard.cells)
+        for off, doc in enumerate(manifest["results"]):
+            yield doc, bool(cached[off]), int(wall[off])
 
 
 def merge_results(directory: Pathish) -> List[RunResult]:
     """A completed sweep campaign's results, in submission order."""
     from repro.io.results_json import run_result_from_dict
 
-    return [run_result_from_dict(doc) for doc in iter_result_docs(directory)]
+    store = CampaignStore(directory)
+    return [
+        run_result_from_dict(doc)
+        for doc, _cached, _wall in iter_result_rows(store, store.load())
+    ]
 
 
 class _HashingWriter:
@@ -1024,35 +1039,6 @@ class _HashingWriter:
 
     def hexdigest(self) -> str:
         return self._hash.hexdigest()
-
-
-def _iter_docs_collect_owners(
-    store: "CampaignStore",
-    campaign: ShardedCampaign,
-    owners: List[Dict[str, Any]],
-) -> Iterator[Dict[str, Any]]:
-    """Like :func:`iter_result_docs`, also recording per-shard owners.
-
-    Appends ``{"index", "shard", "owner"}`` to *owners* for each shard as
-    its manifest streams by, so the merge can stamp worker attribution
-    into the provenance manifest without a second pass over the (large)
-    shard files.
-    """
-    missing = [s.index for s in campaign.shards if not store.shard_done(s)]
-    if missing:
-        raise IncompleteCampaignError(missing)
-    for shard in campaign.shards:
-        manifest = store.read_manifest(shard)
-        if manifest is None:  # deleted between the check and the read
-            raise IncompleteCampaignError([shard.index])
-        owners.append(
-            {
-                "index": shard.index,
-                "shard": shard.shard_id,
-                "owner": str(manifest.get("owner", "")),
-            }
-        )
-        yield from manifest["results"]
 
 
 def _emit_provenance(
@@ -1137,7 +1123,9 @@ def write_merged_results(
     dest = pathlib.Path(out) if out is not None else store.merged_path
     owners: List[Dict[str, Any]] = []
     sha, digests = _write_sweep_artifact(
-        campaign, dest, _iter_docs_collect_owners(store, campaign, owners)
+        campaign,
+        dest,
+        (doc for doc, _cached, _wall in iter_result_rows(store, campaign, owners)),
     )
     _emit_provenance(campaign, dest, sha, digests, owners)
     return dest
@@ -1181,12 +1169,19 @@ def write_results_artifact(
     return dest
 
 
+def _scorecard_outcomes(
+    store: CampaignStore,
+    campaign: ShardedCampaign,
+    owners: Optional[List[Dict[str, Any]]] = None,
+) -> Iterator[CellOutcome]:
+    for doc, _cached, _wall in iter_result_rows(store, campaign, owners):
+        yield CellOutcome.from_dict(doc)
+
+
 def merge_scorecard(directory: Pathish) -> Scorecard:
     """A completed faults campaign's :class:`Scorecard` (in memory)."""
-    outcomes = tuple(
-        CellOutcome.from_dict(doc) for doc in iter_result_docs(directory)
-    )
-    return Scorecard(outcomes=outcomes)
+    store = CampaignStore(directory)
+    return Scorecard(outcomes=tuple(_scorecard_outcomes(store, store.load())))
 
 
 def write_merged_scorecard(
@@ -1195,41 +1190,22 @@ def write_merged_scorecard(
     """Stream a completed faults campaign into scorecard JSON.
 
     Byte-identical to ``Scorecard.save()`` of an uninterrupted serial
-    :func:`~repro.faults.campaign.run_campaign` over the same cells: the
-    outcome documents are streamed shard by shard in campaign order, and
-    the summary is computed incrementally by
-    :class:`~repro.faults.campaign.ScorecardSummaryAccumulator` — the
+    :func:`~repro.faults.campaign.run_campaign` over the same cells: both
+    write through :func:`~repro.faults.campaign.scorecard_json_chunks`,
+    here fed outcome by outcome as the shard manifests stream by — the
     whole outcome list is never resident at once.
     """
-    from repro.io.canonical import canonical_json, sha256_hex
-
     store = CampaignStore(directory)
     campaign = store.load()
     dest = pathlib.Path(out) if out is not None else store.merged_path
-    acc = ScorecardSummaryAccumulator()
-    degradation = {"breaks": 0, "retried": 0, "serial_fallback": 0}
     digests: List[str] = []
     owners: List[Dict[str, Any]] = []
+    outcomes = _scorecard_outcomes(store, campaign, owners)
     with atomic_writer(dest) as raw:
         fh = _HashingWriter(raw)
-        fh.write(
-            '{"degradation":%s,"format":"%s","outcomes":['
-            % (canonical_json(degradation), SCORECARD_FORMAT)
-        )
-        first = True
-        for doc in _iter_docs_collect_owners(store, campaign, owners):
-            outcome = CellOutcome.from_dict(doc)
-            acc.add(outcome)
-            if not first:
-                fh.write(",")
-            first = False
-            text = canonical_json(outcome.to_dict())
-            fh.write(text)
-            digests.append(sha256_hex(text))
-        fh.write(
-            '],"summary":%s,"version":%d}\n'
-            % (canonical_json(acc.summary()), SCORECARD_VERSION)
-        )
+        for chunk in scorecard_json_chunks(outcomes, digests=digests):
+            fh.write(chunk)
+        fh.write("\n")
     _emit_provenance(campaign, dest, fh.hexdigest(), digests, owners)
     return dest
 
@@ -1258,9 +1234,7 @@ def run_sharded_campaign(
     """
     campaign = ShardedCampaign("faults", cells, shard_size=shard_size, meta=meta)
     cdir = prepare_campaign(root, campaign)
-    if progress is not None and hasattr(progress, "begin"):
-        progress.begin(len(campaign.cells))
-    stats = run_workers(
+    stats = resume_campaign(
         cdir,
         jobs=jobs,
         lease_ttl=lease_ttl,
@@ -1268,10 +1242,8 @@ def run_sharded_campaign(
         metrics=metrics,
         telemetry=telemetry,
     )
-    if progress is not None and hasattr(progress, "finish"):
-        progress.finish()
-    write_merged_scorecard(cdir)
-    return merge_scorecard(cdir), cdir, stats
+    outcomes = tuple(_scorecard_outcomes(CampaignStore(cdir), campaign))
+    return Scorecard(outcomes=outcomes), cdir, stats
 
 
 def resume_campaign(
@@ -1288,11 +1260,13 @@ def resume_campaign(
     Expired leases are reclaimed, completed shards are skipped, the
     merged artifact is (re)written.  Works for both kinds; the caller
     can inspect ``CampaignStore(directory).load().kind`` to decide how
-    to present the merged artifact.
+    to present the merged artifact.  The one drive-then-merge path:
+    :func:`run_sharded_campaign` and :class:`ShardedBackend` run through
+    it too.
     """
     store = CampaignStore(directory)
     campaign = store.load()
-    if progress is not None and hasattr(progress, "begin"):
+    if progress is not None:
         progress.begin(len(campaign.cells))
     stats = run_workers(
         directory,
@@ -1303,7 +1277,7 @@ def resume_campaign(
         metrics=metrics,
         telemetry=telemetry,
     )
-    if progress is not None and hasattr(progress, "finish"):
+    if progress is not None:
         progress.finish()
     if campaign.kind == "faults":
         write_merged_scorecard(directory)
@@ -1353,72 +1327,37 @@ class ShardedBackend(SweepExecutor):
         #: Campaign directory of the most recent run() (for resume/status).
         self.last_campaign_dir: Optional[pathlib.Path] = None
 
-    def _execute(self, specs: Sequence[RunSpec]) -> List[RunResult]:
-        raise NotImplementedError  # run() is overridden wholesale
-
     def run(self, specs: Sequence[RunSpec]) -> List[RunResult]:
-        from repro.obs.report import CellReport, SweepReport
+        from repro.io.results_json import run_result_from_dict
 
         specs = list(specs)
         campaign = ShardedCampaign("sweep", specs, shard_size=self.shard_size)
         cdir = prepare_campaign(self.directory, campaign)
         self.last_campaign_dir = cdir
-        if self.progress is not None:
-            self.progress.begin(len(specs))
-        stats = run_workers(
+        stats = resume_campaign(
             cdir,
             jobs=self.jobs,
-            cache=self.cache,
             lease_ttl=self.lease_ttl,
+            cache=self.cache,
             progress=self.progress,
             metrics=self.metrics,
             telemetry=self.telemetry,
         )
-        if self.progress is not None:
-            self.progress.finish()
-        results = merge_results(cdir)
-        write_merged_results(cdir)
-
-        store = CampaignStore(cdir)
-        cells: List[CellReport] = []
-        for shard in campaign.shards:
-            manifest = store.read_manifest(shard) or {}
-            cached = manifest.get("cached", [False] * shard.cells)
-            wall = manifest.get("wall_ns", [0] * shard.cells)
-            for off, pos in enumerate(range(shard.start, shard.stop)):
-                spec = campaign.cells[pos]
-                result = results[pos]
-                cells.append(
-                    CellReport(
-                        index=pos,
-                        key=campaign.cell_keys[pos][:12],
-                        scenario=spec.scenario.name,
-                        monitor=spec.monitor.label,
-                        cached=bool(cached[off]),
-                        wall_ns=int(wall[off]),
-                        sim_end=result.sim_end,
-                        events=result.events,
-                        truncated=result.truncated,
-                        backend=spec.kernel.backend,
-                    )
-                )
-                self.metrics.histogram("executor.cell.ns").record(int(wall[off]))
-        self.report = SweepReport(cells=cells)
-        self.metrics.counter("executor.cells").inc(len(specs))
-        self.metrics.counter("executor.cache_hits").inc(len(specs) - stats.cells_run)
-        self.stats = SweepStats(
-            cells_total=len(specs),
-            cells_simulated=stats.cells_run,
-            cache_hits=len(specs) - stats.cells_run,
-            pool_breaks=stats.pool_breaks,
+        results: List[RunResult] = []
+        cached: List[bool] = []
+        wall: List[int] = []
+        cell_ns = self.metrics.histogram("executor.cell.ns")
+        for doc, was_cached, wall_ns in iter_result_rows(CampaignStore(cdir), campaign):
+            results.append(run_result_from_dict(doc))
+            cached.append(was_cached)
+            wall.append(wall_ns)
+            cell_ns.record(wall_ns)
+        return self._finish_run(
+            specs,
+            campaign.cell_keys,
+            results,
+            cached,
+            wall,
+            simulated=stats.cells_run,
+            degradation=PoolDegradation(breaks=stats.pool_breaks),
         )
-        self.total = SweepStats(
-            cells_total=self.total.cells_total + self.stats.cells_total,
-            cells_simulated=self.total.cells_simulated + self.stats.cells_simulated,
-            cache_hits=self.total.cache_hits + self.stats.cache_hits,
-            pool_retried=self.total.pool_retried,
-            pool_serial_fallback=self.total.pool_serial_fallback,
-            pool_breaks=self.total.pool_breaks + stats.pool_breaks,
-        )
-        self._write_merged_out(specs, results)
-        return results

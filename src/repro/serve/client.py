@@ -193,7 +193,7 @@ class ServiceBackend(SweepExecutor):
     """A :class:`~repro.runtime.executor.SweepExecutor` routed through a
     coordinator.
 
-    ``_execute_timed`` (the executor seam for cache misses) becomes
+    ``_execute`` (the executor seam for cache misses) becomes
     submit → wait → fetch: specs are wrapped into a content-addressed
     ``"sweep"`` campaign, the coordinator's workers drain it, and the
     merged cells come back in spec order.  The local front-end cache,
@@ -219,11 +219,8 @@ class ServiceBackend(SweepExecutor):
         self.poll_s = poll_s
         self.timeout_s = timeout_s
         self.client = client or ServiceClient(addr)
-        #: Cells the fabric served from worker-side caches on the most
-        #: recent run (the distributed analogue of ``stats.cache_hits``).
-        self.remote_cache_hits = 0
 
-    def _execute_timed(self, specs: Sequence[Any]) -> List[Tuple[Any, int]]:
+    def _execute(self, specs: Sequence[Any]) -> List[Tuple[Any, int]]:
         from repro.io.results_json import run_result_from_dict
         from repro.runtime.shard import ShardedCampaign
 
@@ -232,13 +229,8 @@ class ServiceBackend(SweepExecutor):
         self.client.wait(
             campaign.campaign_key, poll_s=self.poll_s, timeout_s=self.timeout_s
         )
-        cells = self.client.fetch(campaign.campaign_key)
-        self.remote_cache_hits = sum(1 for _, cached, _w in cells if cached)
         out: List[Tuple[Any, int]] = []
-        for doc, _cached, wall_ns in cells:
+        for doc, _cached, wall_ns in self.client.fetch(campaign.campaign_key):
             out.append((run_result_from_dict(doc), wall_ns))
             self._cell_finished(wall_ns)
         return out
-
-    def _execute(self, specs: Sequence[Any]) -> List[Any]:
-        return [r for r, _ in self._execute_timed(specs)]

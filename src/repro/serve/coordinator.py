@@ -42,10 +42,12 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 from repro.io.canonical import canonical_json, doc_digest
 from repro.runtime.shard import (
     CampaignStore,
+    IncompleteCampaignError,
     ShardedCampaign,
     ShardSpec,
     get_kind,
     iter_campaign_dirs,
+    iter_result_rows,
     prepare_campaign,
     write_merged_results,
     write_merged_scorecard,
@@ -573,22 +575,15 @@ class Coordinator:
                 reason=f"campaign incomplete: "
                        f"{len(state.done)}/{len(state.campaign.shards)} shards"
             )]
-        out: List[wire.Message] = []
-        for shard in state.campaign.shards:
-            manifest = state.store.read_manifest(shard)
-            if manifest is None:
-                return [wire.ErrorReply(
-                    reason=f"shard manifest {shard.shard_id[:12]} vanished"
-                )]
-            cached = manifest.get("cached", [False] * shard.cells)
-            wall = manifest.get("wall_ns", [0] * shard.cells)
-            for off, doc in enumerate(manifest["results"]):
-                out.append(wire.FetchCell(
-                    pos=shard.start + off,
-                    doc=doc,
-                    cached=bool(cached[off]),
-                    wall_ns=int(wall[off]),
-                ))
+        try:
+            out: List[wire.Message] = [
+                wire.FetchCell(pos=pos, doc=doc, cached=cached, wall_ns=wall_ns)
+                for pos, (doc, cached, wall_ns) in enumerate(
+                    iter_result_rows(state.store, state.campaign)
+                )
+            ]
+        except IncompleteCampaignError as exc:
+            return [wire.ErrorReply(reason=f"shard manifest vanished: {exc}")]
         out.append(wire.FetchDone(
             cells=len(state.campaign.cells),
             manifest=_provenance_doc(state),

@@ -7,6 +7,7 @@ this process or across a process pool.
 
 from __future__ import annotations
 
+import json
 from dataclasses import replace
 
 import pytest
@@ -20,6 +21,7 @@ from repro.faults.campaign import (
     run_campaign,
 )
 from repro.faults.spec import CpuStall, FaultPlan
+from repro.runtime.executor import PoolDegradation
 from repro.runtime.spec import MonitorSpec
 
 @pytest.fixture(scope="module")
@@ -127,6 +129,31 @@ class TestScorecard:
         serial.save(str(path))
         again = Scorecard.load(str(path))
         assert again.to_json() == serial.to_json()
+
+    def test_pool_degradation_in_summary_and_saved_bytes(self, serial, tmp_path):
+        degraded = Scorecard(
+            outcomes=serial.outcomes,
+            degradation=PoolDegradation(retried=2, serial_fallback=1, breaks=2),
+        )
+        s = degraded.summary()
+        assert s["pool_breaks"] == 2 and s["pool_retried"] == 2
+        assert s["pool_serial_fallback"] == 1
+        # Degradation only adds the pool_* figures to the summary.
+        plain = serial.summary()
+        assert {k: v for k, v in s.items() if not k.startswith("pool_")} == {
+            k: v for k, v in plain.items() if not k.startswith("pool_")
+        }
+        path = tmp_path / "degraded.json"
+        degraded.save(str(path))
+        text = path.read_text(encoding="utf-8")
+        assert text == degraded.to_json() + "\n"
+        doc = json.loads(text)
+        assert doc["summary"] == s
+        assert doc["degradation"] == {"breaks": 2, "retried": 2, "serial_fallback": 1}
+        again = Scorecard.load(str(path))
+        assert again.degradation == degraded.degradation
+        assert again.summary() == s
+        assert again.to_json() == degraded.to_json()
 
     def test_outcome_dict_roundtrip(self, serial):
         for o in serial.outcomes:

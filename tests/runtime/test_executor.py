@@ -193,6 +193,13 @@ class TestMakeExecutor:
         assert ex.jobs == 4
         assert isinstance(ex.cache, ResultCache)
 
+    def test_telemetry_needs_checkpoint_dir(self, tmp_path):
+        for kwargs in ({}, {"jobs": 2}, {"service_addr": "127.0.0.1:1"}):
+            with pytest.raises(ValueError, match="--checkpoint-dir"):
+                make_executor(telemetry=True, **kwargs)
+        sharded = make_executor(telemetry=True, checkpoint_dir=str(tmp_path))
+        assert sharded.telemetry
+
     def test_base_class_is_abstract(self, grid):
         with pytest.raises(NotImplementedError):
             SweepExecutor()._execute(grid[:1])

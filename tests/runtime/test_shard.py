@@ -328,6 +328,16 @@ class TestManifestAtomicity:
         (cdir / "shards" / "merged.json.abc123.tmp").write_text("garbage")
         assert len(merge_results(cdir)) == len(grid)
 
+    def test_merge_stopped_by_missing_shard_leaves_no_artifact(self, grid, tmp_path):
+        # Shards 0 and 1 stream into the artifact before shard 2 is found
+        # missing; the half-written merge must vanish, not land.
+        cdir = prepare_campaign(tmp_path, ShardedCampaign("sweep", grid, shard_size=1))
+        work(cdir, max_shards=2)
+        with pytest.raises(IncompleteCampaignError) as exc:
+            write_merged_results(cdir)
+        assert exc.value.missing == (2, 3)
+        assert not list(cdir.glob("merged*"))
+
 
 # ----------------------------------------------------------------------
 # Byte-identity of merged artifacts
@@ -471,6 +481,26 @@ class TestShardedBackend:
         sharded.run(grid)
         assert sharded.stats.cells_simulated == 0
         assert sharded.stats.cache_hits == len(grid)
+
+    def test_report_mirrors_manifests_after_partly_cached_run(self, grid, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        SerialBackend(cache=cache).run(grid[:2])
+        sharded = ShardedBackend(tmp_path / "ckpt", shard_size=3, cache=cache)
+        sharded.run(grid)
+        store = CampaignStore(sharded.last_campaign_dir)
+        campaign = store.load()
+        cached, wall = [], []
+        for shard in campaign.shards:
+            manifest = store.read_manifest(shard)
+            cached += manifest["cached"]
+            wall += manifest["wall_ns"]
+        assert cached == [True, True, False, False]
+        cells = sharded.report.cells
+        assert [c.cached for c in cells] == cached
+        assert [c.wall_ns for c in cells] == wall
+        assert [c.key for c in cells] == [k[:12] for k in campaign.cell_keys]
+        assert sharded.stats.cells_simulated == 2
+        assert sharded.stats.cache_hits == 2
 
     def test_jobs_validation(self, tmp_path):
         with pytest.raises(ValueError, match="jobs"):

@@ -434,6 +434,30 @@ class TestLeaseSemantics:
         assert again.accepted
         assert coord.handle(cell) == [wire.CellOk()]
 
+    def test_fetch_after_manifest_deleted_is_an_error(self, grid, grid_docs, tmp_path):
+        coord, campaign, _ = self._coordinator(tmp_path, grid)
+        for _ in campaign.shards:
+            (grant,) = coord.handle(wire.LeaseRequest(owner="a"))
+            for pos in range(grant.start, grant.stop):
+                coord.handle(wire.CellResult(
+                    campaign=grant.campaign, shard=grant.shard, pos=pos,
+                    doc=grid_docs[pos], cached=pos == 0, wall_ns=7 + pos,
+                ))
+            (done,) = coord.handle(wire.ShardDone(
+                campaign=grant.campaign, shard=grant.shard, owner="a"))
+            assert done.accepted
+        fetch = wire.FetchRequest(campaign=campaign.campaign_key)
+        *cells, end = coord.handle(fetch)
+        assert isinstance(end, wire.FetchDone) and end.cells == len(grid)
+        assert [(c.pos, c.cached, c.wall_ns) for c in cells] == [
+            (pos, pos == 0, 7 + pos) for pos in range(len(grid))
+        ]
+        state = coord.campaigns[campaign.campaign_key]
+        state.store.shard_path(campaign.shards[0].shard_id).unlink()
+        (err,) = coord.handle(fetch)
+        assert isinstance(err, wire.ErrorReply)
+        assert "indices [0]" in err.reason
+
     def test_bad_positions_and_unknown_ids_rejected(
         self, grid, grid_docs, tmp_path
     ):

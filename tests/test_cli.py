@@ -122,6 +122,26 @@ class TestObservabilityFlags:
         assert main(["simulate", "--seed", "3", "--m", "2", "--progress"]) == 0
         assert "[sweep] 1/1 cells" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--seed", "3", "--m", "2"],
+        ["simulate", "--seed", "3", "--m", "2", "--service", "127.0.0.1:1"],
+        ["figures", "--figure", "6", "--tasksets", "1"],
+        ["faults", "run", "--cells", "1", "--tasksets", "1"],
+    ])
+    def test_telemetry_refused_without_checkpoint_dir(
+        self, argv, monkeypatch, capsys
+    ):
+        import repro.experiments.runner as runner
+
+        def no_cell(*args, **kwargs):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(runner, "run_overload_experiment", no_cell)
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--telemetry"])
+        assert exc.value.code == 2
+        assert "--telemetry needs --checkpoint-dir" in capsys.readouterr().err
+
 
 class TestTraceCommand:
     def _make_trace(self, tmp_path):
