@@ -1,18 +1,24 @@
-"""Brute-force verification of monitor decisions against a trace.
+"""Offline verification of monitor decisions against a trace.
 
 The monitor detects idle normal instants *online* from a stream of
 completions (Algorithm 2); this module recomputes the same notions
-*offline* from a finished trace, by direct application of the paper's
-definitions:
+*offline* from a finished trace, from the paper's definitions:
 
 * **Def. 1** — a completed job misses its tolerance iff
-  ``t^c > y + xi`` (jobs completing at or before their PP meet any
+  ``t^c - y > xi`` (jobs completing at or before their PP meet any
   non-negative tolerance);
 * **Def. 2** — ``t`` is an *idle normal instant* iff some processor is
   idle at ``t`` (fewer eligible level-C jobs than available CPUs, in the
   level-C view) and every job pending at ``t`` meets its tolerance.
 
-:func:`verify_monitor_decisions` then cross-checks a monitor's recovery
+:func:`pending_jobs_at` and :func:`is_idle_normal_instant` apply the
+definitions literally, one instant at a time (a scan of every job
+record).  :func:`idle_normal_instants` and :func:`verify_monitor_decisions`
+answer many instants at once with one forward sweep over the trace,
+giving the same answers; the tests cross-check the sweep against the
+per-instant definitions.
+
+:func:`verify_monitor_decisions` cross-checks a monitor's recovery
 episodes: every episode must end at (a completion revealing) an idle
 normal instant.  The property suite uses this as the ground truth for
 Theorem 1; it is also a practical debugging tool for custom policies.
@@ -20,8 +26,9 @@ Theorem 1; it is also a practical debugging tool for custom policies.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.monitor import Monitor
 from repro.model.task import CriticalityLevel
@@ -93,11 +100,67 @@ def is_idle_normal_instant(
     return True
 
 
+def _idle_normal_flags(
+    trace: Trace, ts: TaskSet, instants: Sequence[float]
+) -> List[bool]:
+    """Def. 2 at each of *instants* (with ``ts.m`` CPUs), in one sweep.
+
+    The same answers as :func:`is_idle_normal_instant` per instant, in
+    O((jobs + instants) log jobs): the level-C records' release instants
+    (pending from ``r <= t``) and completion instants (pending while
+    ``t < t^c``) are walked in time order, keeping a pending count per
+    task (the eligible heads are the tasks with a pending job) and a
+    count of pending records that are unfinished or miss Def. 1.  Def. 1
+    is evaluated for every completed level-C record, so every level-C
+    task needs a tolerance.
+    """
+    if not instants:
+        return []
+    # (time, 0 = release / 1 = completion, task, unfinished or missed):
+    # at equal times releases sort first, so a zero-length job is added
+    # before it is removed and no task's count goes negative.
+    events: List[Tuple[float, int, int, bool]] = []
+    for rec in trace.jobs:
+        if rec.level is not CriticalityLevel.C:
+            continue
+        blocks = rec.completion is None or job_misses_tolerance(rec, ts)
+        events.append((rec.release, 0, rec.task_id, blocks))
+        if rec.completion is not None:
+            events.append((rec.completion, 1, rec.task_id, blocks))
+    events.sort()
+    flags = [False] * len(instants)
+    pending: Dict[int, int] = {}  # task_id -> pending job count
+    m = ts.m
+    heads = blocking = 0
+    i, n = 0, len(events)
+    for pos in sorted(range(len(instants)), key=instants.__getitem__):
+        t = instants[pos]
+        while i < n and events[i][0] <= t:
+            _, done, tid, blocks = events[i]
+            i += 1
+            count = pending.get(tid, 0)
+            if done:
+                pending[tid] = count - 1
+                if count == 1:
+                    heads -= 1
+                if blocks:
+                    blocking -= 1
+            else:
+                pending[tid] = count + 1
+                if count == 0:
+                    heads += 1
+                if blocks:
+                    blocking += 1
+        flags[pos] = heads < m and blocking == 0
+    return flags
+
+
 def idle_normal_instants(
     trace: Trace, ts: TaskSet, instants: Sequence[float]
 ) -> List[float]:
     """Filter *instants* down to the idle normal ones (Def. 2)."""
-    return [t for t in instants if is_idle_normal_instant(trace, ts, t)]
+    flags = _idle_normal_flags(trace, ts, instants)
+    return [t for t, idle in zip(instants, flags) if idle]
 
 
 @dataclass(frozen=True)
@@ -125,24 +188,31 @@ def verify_monitor_decisions(
     An episode ending at completion time ``t_end`` is justified if some
     instant in ``[episode.start, t_end]`` is an idle normal instant.  We
     probe just before ``t_end`` (the accepted candidate idle instant is
-    at or before the completion that revealed it) and at the recorded
-    candidate completion times.
+    at or before the completion that revealed it) and at every level-C
+    completion time inside the episode.  All probes go through one
+    sweep of the trace; each episode is then a bisect over the idle
+    completions.
     """
-    violations: List[Tuple[float, str]] = []
-    checked = 0
+    closed = [ep for ep in monitor.episodes if ep.end is not None]
+    if not closed:
+        return MonitorVerdict(episodes_checked=0, violations=())
     completions = sorted(
         rec.completion
         for rec in trace.jobs
         if rec.level is CriticalityLevel.C and rec.completion is not None
     )
-    for ep in monitor.episodes:
-        if ep.end is None:
-            continue
-        checked += 1
-        probes = [ep.end - probe_back]
-        probes.extend(c for c in completions if ep.start <= c <= ep.end)
-        if not any(is_idle_normal_instant(trace, ts, p) for p in probes):
+    exits = [ep.end - probe_back for ep in closed]
+    flags = _idle_normal_flags(trace, ts, completions + exits)
+    idle_completions = [c for c, idle in zip(completions, flags) if idle]
+    violations: List[Tuple[float, str]] = []
+    for ep, exit_idle in zip(closed, flags[len(completions):]):
+        i = bisect_left(idle_completions, ep.start)
+        if not exit_idle and not (
+            i < len(idle_completions) and idle_completions[i] <= ep.end
+        ):
             violations.append(
                 (ep.end, "no idle normal instant found within the episode")
             )
-    return MonitorVerdict(episodes_checked=checked, violations=tuple(violations))
+    return MonitorVerdict(
+        episodes_checked=len(closed), violations=tuple(violations)
+    )

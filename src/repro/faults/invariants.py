@@ -42,8 +42,10 @@ Invariant catalog (names are stable identifiers used in scorecards):
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, DefaultDict, Dict, List, Optional, Tuple
 
 from repro.analysis.trace_check import verify_monitor_decisions
 from repro.experiments.runner import ExperimentOutput
@@ -311,43 +313,53 @@ def _check_gel_order(trace: Trace, sink: _Collector) -> None:
     Key = Tuple[float, int, int]
     key_of: Dict[Tuple[int, int], Key] = {}
     # Grouped events: time -> list of (action, payload).
-    events: Dict[float, List[Tuple[str, Any]]] = {}
-
-    def at(t: float) -> List[Tuple[str, Any]]:
-        lst = events.get(t)
-        if lst is None:
-            lst = events[t] = []
-        return lst
-
+    events: DefaultDict[float, List[Tuple[str, Any]]] = defaultdict(list)
     for rec in trace.jobs:
         if rec.level is not CriticalityLevel.C or rec.virtual_pp is None:
             continue
         jid = (rec.task_id, rec.index)
         key_of[jid] = (rec.virtual_pp, rec.task_id, rec.index)
-        at(rec.release).append(("add", jid))
+        events[rec.release].append(("add", jid))
         if rec.completion is not None:
-            at(rec.completion).append(("del", jid))
+            events[rec.completion].append(("del", jid))
     for iv in trace.intervals:
         jid = (iv.task_id, iv.job_index)
         if jid not in key_of:
             continue  # non-C interval
-        at(iv.start).append(("run", jid))
-        at(iv.end).append(("stop", jid))
+        events[iv.start].append(("run", jid))
+        events[iv.end].append(("stop", jid))
 
     pending: Dict[int, Dict[int, Key]] = {}  # task_id -> {index: key}
+    head_of: Dict[int, int] = {}  # task_id -> index of its pending head
+    heads: List[Key] = []  # every pending task's head key, in GEL-v order
     running: Dict[Tuple[int, int], int] = {}  # jid -> active interval count
     times = sorted(events)
     for pos, t in enumerate(times):
         for action, jid in events[t]:
             tid, idx = jid
             if action == "add":
-                pending.setdefault(tid, {})[idx] = key_of[jid]
+                task_pend = pending.setdefault(tid, {})
+                task_pend[idx] = key_of[jid]
+                head = head_of.get(tid)
+                if head is None or idx < head:
+                    if head is not None:
+                        del heads[bisect_left(heads, task_pend[head])]
+                    head_of[tid] = idx
+                    insort(heads, key_of[jid])
             elif action == "del":
                 task_pend = pending.get(tid)
-                if task_pend is not None:
-                    task_pend.pop(idx, None)
-                    if not task_pend:
-                        del pending[tid]
+                if task_pend is None or idx not in task_pend:
+                    continue
+                k = task_pend.pop(idx)
+                if head_of[tid] == idx:
+                    del heads[bisect_left(heads, k)]
+                    if task_pend:
+                        head = head_of[tid] = min(task_pend)
+                        insort(heads, task_pend[head])
+                    else:
+                        del head_of[tid]
+                if not task_pend:
+                    del pending[tid]
             elif action == "run":
                 running[jid] = running.get(jid, 0) + 1
             else:  # stop
@@ -368,15 +380,14 @@ def _check_gel_order(trace: Trace, sink: _Collector) -> None:
             k = key_of[jid]
             if max_run is None or k > max_run:
                 max_run, run_jid = k, jid
+        # The best waiting head is the first head not running: at most
+        # len(running) heads are skipped.
         min_wait: Optional[Key] = None
         wait_jid: Optional[Tuple[int, int]] = None
-        for tid, task_pend in pending.items():
-            head_idx = min(task_pend)
-            if (tid, head_idx) in running:
-                continue
-            k = task_pend[head_idx]
-            if min_wait is None or k < min_wait:
-                min_wait, wait_jid = k, (tid, head_idx)
+        for k in heads:
+            if (k[1], k[2]) not in running:
+                min_wait, wait_jid = k, (k[1], k[2])
+                break
         if min_wait is not None and max_run is not None and min_wait < max_run:
             mid = (t + nxt) / 2.0
             assert wait_jid is not None and run_jid is not None

@@ -115,7 +115,8 @@ class Job:
         return self.completion - self.actual_pp
 
     def meets_tolerance(self) -> bool:
-        """Def. 1: ``t^c <= y + xi``.
+        """Def. 1: ``t^c - y <= xi`` (the monitor's arithmetic, Algorithm 2
+        line 10; ``t^c <= y + xi`` can differ from it by one ulp).
 
         Only meaningful for completed level-C jobs of tasks with a
         configured tolerance.  Jobs whose actual PP was never resolved
@@ -130,7 +131,7 @@ class Job:
             raise ValueError(f"job {self.label} is not complete")
         if self.actual_pp is None:
             return True
-        return self.completion <= self.actual_pp + self.task.tolerance
+        return self.completion - self.actual_pp <= self.task.tolerance
 
     def __repr__(self) -> str:  # pragma: no cover - formatting only
         state = f"done@{self.completion}" if self.is_complete else f"rem={self.remaining}"

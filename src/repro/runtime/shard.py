@@ -16,13 +16,15 @@ happened to retain.  This module makes campaign execution *durable*:
 
 * **File-based work queue with lease/heartbeat ownership.**  Workers —
   threads of one process, separate processes, even separate invocations
-  of the CLI — claim shards by atomically creating a lease file
-  (``O_CREAT | O_EXCL``), heartbeat it after every cell, and release it
-  when the shard's result manifest lands.  A lease whose heartbeat is
-  older than the TTL is presumed dead and reclaimed.  Leases are a
-  *performance* mechanism, not a correctness one: cells are
-  deterministic, so the rare double execution after a lease steal just
-  writes the same manifest twice.
+  of the CLI — claim shards by publishing a lease file in one step (a
+  same-directory temp file holding the lease is hard-linked to the
+  lease path, which fails if a lease exists, so no owner can see a
+  lease without its content), heartbeat it after every cell, and
+  release it when the shard's result manifest lands.  A lease whose
+  heartbeat is older than the TTL is presumed dead and reclaimed.
+  Results do not depend on leases: cells are deterministic, so the rare
+  double execution after an expired lease is stolen from a worker that
+  was only slow writes the same manifest twice.
 
 * **Atomic per-shard result manifests.**  Each completed shard is one
   JSON file written via temp-file + ``os.replace``
@@ -60,6 +62,7 @@ import hashlib
 import json
 import os
 import pathlib
+import tempfile
 import time
 from dataclasses import dataclass
 from typing import (
@@ -519,30 +522,34 @@ class CampaignStore:
         path.parent.mkdir(parents=True, exist_ok=True)
         now = clock()
         payload = self._lease_doc(owner, now, now)
-        try:
-            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            existing = self.read_lease(shard_id)
-            if existing is not None:
-                if existing.get("owner") == owner:
-                    return True
-                beat = float(existing.get("heartbeat", 0.0))
-                if now - beat <= lease_ttl:
-                    return False
-            # Expired (or torn) lease: steal it atomically and confirm.
-            atomic_write_text(path, payload, fsync=False)
-            stolen = self.read_lease(shard_id)
-            return stolen is not None and stolen.get("owner") == owner
+        # Publish the lease and its content in one step.  Creating the
+        # lease path with O_EXCL and then writing it would let a second
+        # owner read the still-empty file, take it for torn and steal it:
+        # both owners would then run the shard.
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 fh.write(payload)
-        except BaseException:
+            os.link(tmp, path)
+            return True
+        except FileExistsError:
+            pass  # another owner holds (or held) the lease
+        finally:
             try:
-                os.unlink(path)
+                os.unlink(tmp)
             except OSError:
                 pass
-            raise
-        return True
+        existing = self.read_lease(shard_id)
+        if existing is not None:
+            if existing.get("owner") == owner:
+                return True
+            beat = float(existing.get("heartbeat", 0.0))
+            if now - beat <= lease_ttl:
+                return False
+        # Expired (or torn) lease: steal it atomically and confirm.
+        atomic_write_text(path, payload, fsync=False)
+        stolen = self.read_lease(shard_id)
+        return stolen is not None and stolen.get("owner") == owner
 
     def heartbeat(
         self, shard_id: str, owner: str, clock: Callable[[], float] = time.monotonic

@@ -243,6 +243,9 @@ class MC2Kernel:
         # Per-level job pools: incomplete released jobs.
         self.jobs_a: List[List[Job]] = [[] for _ in range(taskset.m)]
         self.jobs_b: List[List[Job]] = [[] for _ in range(taskset.m)]
+        # jobs_c is appended at release (time never decreases) and only
+        # ever loses entries, so it stays in release order; its first
+        # entry is the earliest-released pending level-C job.
         self.jobs_c: List[Job] = []
         self.jobs_d: List[Job] = []
 
@@ -1078,9 +1081,11 @@ class MC2Kernel:
         """True if any incomplete level-C job was released before *end*.
 
         Backend-neutral accessor for settling predicates (the SoA
-        backend has no ``Job`` objects to iterate).
+        backend has no ``Job`` objects to iterate).  O(1): ``jobs_c`` is
+        in release order (see ``__init__``).
         """
-        return any(j.release < end for j in self.jobs_c)
+        jobs_c = self.jobs_c
+        return bool(jobs_c) and jobs_c[0].release < end
 
     @property
     def sched_overheads(self) -> List[int]:

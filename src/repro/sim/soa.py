@@ -165,6 +165,9 @@ class SoAKernel:
         # Per-level pools of incomplete released job slots.
         self.jobs_a: List[List[int]] = [[] for _ in range(m)]
         self.jobs_b: List[List[int]] = [[] for _ in range(m)]
+        # jobs_c is appended at release (time never decreases) and only
+        # ever loses entries, so it stays in release order; its first
+        # entry is the earliest-released pending level-C job.
         self.jobs_c: List[int] = []
         self.jobs_d: List[int] = []
 
@@ -1133,9 +1136,12 @@ class SoAKernel:
         return self._now
 
     def pending_c_released_before(self, end: float) -> bool:
-        """True if any incomplete level-C job was released before *end*."""
-        j_rel = self.j_rel
-        return any(j_rel[js] < end for js in self.jobs_c)
+        """True if any incomplete level-C job was released before *end*.
+
+        O(1): ``jobs_c`` is in release order (see ``__init__``).
+        """
+        jobs_c = self.jobs_c
+        return bool(jobs_c) and self.j_rel[jobs_c[0]] < end
 
     @property
     def sched_overheads(self) -> List[int]:

@@ -1,21 +1,29 @@
-"""Tests for the brute-force trace checker (repro.analysis.trace_check)."""
+"""Tests for the offline trace checker (repro.analysis.trace_check)."""
+
+from types import SimpleNamespace
+from typing import List, Tuple
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.trace_check import (
+    MonitorVerdict,
     idle_normal_instants,
     is_idle_normal_instant,
     job_misses_tolerance,
     pending_jobs_at,
     verify_monitor_decisions,
 )
-from repro.core.monitor import SimpleMonitor
+from repro.core.monitor import RecoveryEpisode, SimpleMonitor
 from repro.core.tolerance import fixed_tolerances
 from repro.experiments.examples_fig2 import figure2_taskset, run_example
 from repro.model.job import Job
+from repro.model.task import CriticalityLevel as L
+from repro.model.task import Task
 from repro.model.taskset import TaskSet
 from repro.sim.kernel import KernelConfig, MC2Kernel
-from repro.sim.trace import Trace
+from repro.sim.trace import JobRecord, Trace
 from tests.conftest import make_c_task
 
 
@@ -139,3 +147,92 @@ class TestVerifyMonitorDecisions:
         verdict = verify_monitor_decisions(mon, trace, ts)
         assert verdict.episodes_checked >= 1
         assert verdict.ok, verdict.violations
+
+
+# ----------------------------------------------------------------------
+# The sweep against the per-instant definitions
+# ----------------------------------------------------------------------
+def reference_verify_monitor_decisions(monitor, trace, ts, probe_back=1e-6):
+    """The per-probe loop the sweep replaced: every probe rescans the trace."""
+    violations: List[Tuple[float, str]] = []
+    checked = 0
+    completions = sorted(
+        rec.completion
+        for rec in trace.jobs
+        if rec.level is L.C and rec.completion is not None
+    )
+    for ep in monitor.episodes:
+        if ep.end is None:
+            continue
+        checked += 1
+        probes = [ep.end - probe_back]
+        probes.extend(c for c in completions if ep.start <= c <= ep.end)
+        if not any(is_idle_normal_instant(trace, ts, p) for p in probes):
+            violations.append(
+                (ep.end, "no idle normal instant found within the episode")
+            )
+    return MonitorVerdict(episodes_checked=checked, violations=tuple(violations))
+
+
+#: A coarse time grid, so releases, completions, PPs and probes collide.
+instants = st.integers(min_value=0, max_value=24).map(lambda k: k * 0.5)
+
+
+@st.composite
+def level_c_histories(draw):
+    """A task set plus a trace and episodes: incomplete jobs, Def. 1
+    misses (and exact-boundary hits), equal release and completion
+    instants, zero-length jobs, several jobs per task, level-A noise,
+    and closed and open episodes."""
+    m = draw(st.integers(min_value=1, max_value=3))
+    n = draw(st.integers(min_value=1, max_value=4))
+    tasks = [
+        make_c_task(tid, 4.0, 1.0, y=2.0,
+                    tolerance=draw(st.sampled_from([0.0, 0.5, 1.0, 2.0])))
+        for tid in range(n)
+    ]
+    ts = TaskSet(tasks + [Task(task_id=n, level=L.A, period=4.0,
+                               pwcets={L.A: 1.0}, cpu=0)], m=m)
+    trace = Trace()
+    next_index = {}
+    for _ in range(draw(st.integers(min_value=0, max_value=10))):
+        tid = draw(st.integers(min_value=0, max_value=n))
+        index = next_index.get(tid, 0)
+        next_index[tid] = index + 1
+        release = draw(instants)
+        completion = None
+        actual_pp = None
+        if draw(st.integers(min_value=0, max_value=4)):  # 1 in 5 unfinished
+            completion = release + draw(instants)  # 0.0: a zero-length job
+            if draw(st.booleans()):  # completed after its PP: Def. 1 applies
+                actual_pp = completion - draw(instants)
+        trace.jobs.append(JobRecord(
+            task_id=tid, level=ts[tid].level, index=index, release=release,
+            exec_time=1.0, completion=completion, actual_pp=actual_pp,
+        ))
+    episodes = []
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        start = draw(instants)
+        end = None if draw(st.integers(min_value=0, max_value=4)) == 0 else (
+            start + draw(instants)
+        )
+        episodes.append(RecoveryEpisode(start=start, end=end, trigger=(0, 0)))
+    return ts, trace, SimpleNamespace(episodes=episodes)
+
+
+@given(level_c_histories(), st.sampled_from([1e-6, 0.5]))
+@settings(max_examples=300, deadline=None)
+def test_sweep_verdict_equals_per_probe_scan(history, probe_back):
+    ts, trace, monitor = history
+    assert verify_monitor_decisions(monitor, trace, ts, probe_back) == (
+        reference_verify_monitor_decisions(monitor, trace, ts, probe_back)
+    )
+
+
+@given(level_c_histories(), st.lists(instants | st.floats(0.0, 13.0), max_size=12))
+@settings(max_examples=300, deadline=None)
+def test_idle_normal_instants_equal_per_instant_filter(history, probes):
+    ts, trace, _ = history
+    assert idle_normal_instants(trace, ts, probes) == [
+        t for t in probes if is_idle_normal_instant(trace, ts, t)
+    ]

@@ -182,6 +182,36 @@ class TestLeases:
         path.write_text("{not json", encoding="utf-8")
         assert store.try_acquire("s1", "bob", lease_ttl=60.0)
 
+    def test_owner_arriving_as_the_lease_appears_does_not_steal_it(
+        self, grid, tmp_path, monkeypatch
+    ):
+        # Regression: bob calls try_acquire right after alice's lease
+        # file appears.  A lease created empty and written afterwards
+        # looked torn to bob, who stole it while alice also went on:
+        # both returned True and two workers ran one shard.
+        store = CampaignStore(tmp_path)
+        store.initialize(ShardedCampaign("sweep", grid, shard_size=2))
+        lease = store.lease_path("s1")
+        race = {}
+
+        def interleave(real):
+            def call(*args, **kwargs):
+                out = real(*args, **kwargs)
+                if "bob" not in race and lease.exists():
+                    race["bob"] = None
+                    race["bob"] = store.try_acquire("s1", "bob", lease_ttl=60.0)
+                return out
+
+            return call
+
+        monkeypatch.setattr(os, "open", interleave(os.open))
+        monkeypatch.setattr(os, "link", interleave(os.link))
+        alice = store.try_acquire("s1", "alice", lease_ttl=60.0)
+        monkeypatch.undo()
+        assert race["bob"] is not None, "bob never raced alice"
+        assert [alice, race["bob"]].count(True) == 1
+        assert store.read_lease("s1")["owner"] == ("alice" if alice else "bob")
+
     def test_wall_clock_jump_does_not_steal_live_lease(
         self, grid, tmp_path, monkeypatch
     ):

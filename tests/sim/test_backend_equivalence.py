@@ -9,12 +9,15 @@ over hand-built edge cases and a 120-scenario randomized sweep, and pin
 the cache-key separation that keeps backends honest in the result cache.
 """
 
+from operator import attrgetter
+
 import pytest
 
 from repro.runtime.spec import KernelSpec, MonitorSpec, RunSpec, ScenarioSpec, TaskSetSpec
 from repro.sim.backend import create_kernel, kernel_backend_registry
 from repro.sim.diffcheck import (
     DiffScenario,
+    build_kernel,
     check_many_backends,
     compare_backends,
     random_scenarios,
@@ -98,6 +101,32 @@ class TestRandomizedSweep:
         assert not failures, "\n".join(
             f"[{', '.join(f.mismatched)}] {f.scenario.label()}" for f in failures
         )
+
+
+class TestPendingReleasedBefore:
+    """The settle query reads only the first pending level-C job; at every
+    event it must agree with a scan of the whole pool."""
+
+    @pytest.mark.parametrize("backend", ["reference", "soa"])
+    def test_first_pending_job_answers_for_the_pool(self, backend):
+        for sc in random_scenarios(12, base_seed=2015):
+            kernel, _ = build_kernel(sc, "incremental", backend)
+            released = (
+                kernel.j_rel.__getitem__ if backend == "soa" else attrgetter("release")
+            )
+            events = [0]
+
+            def stop():
+                for end in (0.0, sc.horizon / 4, sc.horizon / 2, kernel.now, sc.horizon):
+                    scan = any(released(j) < end for j in kernel.jobs_c)
+                    assert kernel.pending_c_released_before(end) == scan, (
+                        f"end={end} at t={kernel.now} on {sc.label()}"
+                    )
+                events[0] += 1
+                return False
+
+            kernel.run(sc.horizon, stop=stop)
+            assert events[0] == kernel.events_processed
 
 
 class TestCacheKeySeparation:
