@@ -1,21 +1,15 @@
-"""Kernel throughput: dispatcher variants and kernel backends, one harness.
+"""Kernel throughput: the soa backend against the reference kernel.
 
-Two comparisons ride the same cells:
+The struct-of-arrays core (``KernelConfig(backend="soa")``) replaces
+per-job/event/processor objects with flat parallel arrays and a fused
+event loop; its gate is **>= 2x** the reference backend's events/sec on
+the 8-CPU cells.
 
-* **Dispatcher** (within the reference backend): the baseline
-  dispatcher re-sorts the whole level-C pool at every scheduling point
-  — O(n log n) per event — while the incremental dispatcher keeps lazy
-  heaps and per-task heads, paying O(log n) per touched job.
-* **Backend**: the struct-of-arrays core (``KernelConfig(backend="soa")``)
-  replaces per-job/event/processor objects with flat parallel arrays and
-  a fused event loop; its gate is **>= 2x** the reference backend's
-  events/sec on the 8-CPU cells.
-
-Every variant's trace fingerprint is checked for equality, so a
-fast-but-wrong kernel cannot "win".  Repetitions are interleaved across
-variants (rep 1 of every variant, then rep 2, ...) so slow drift in
-machine load cancels out of the ratios instead of biasing whichever
-variant ran last.
+Both backends' trace fingerprints are checked for equality per cell, so
+a fast-but-wrong kernel cannot "win".  Repetitions are interleaved
+across backends (rep 1 of each, then rep 2, ...) so slow drift in
+machine load cancels out of the ratio instead of biasing whichever
+backend ran last.
 
 Standalone (CI runs this; artifacts are uploaded)::
 
@@ -23,7 +17,7 @@ Standalone (CI runs this; artifacts are uploaded)::
         --smoke --out kernel-throughput.json \
         --check benchmarks/baseline_kernel_throughput.json
 
-``--check`` compares the measured *speedup ratios* (machine-independent,
+``--check`` compares the measured soa *speedup ratios* (machine-independent,
 unlike raw events/sec) against a recorded baseline and fails if any cell
 regressed by more than 30 %; it also enforces the absolute soa gate.
 
@@ -62,8 +56,7 @@ SOA_GATE = 2.0
 
 #: (name, m, util_range, traffic) — both 8-CPU cells land >= 64 level-C
 #: tasks (light per-task utilizations pack many tasks into the fixed
-#: 65 % level-C share); "large" is where the baseline's per-event sort
-#: bites.  "aperiodic-4cpu" layers open-system traffic (Poisson + MMPP
+#: 65 % level-C share).  "aperiodic-4cpu" layers open-system traffic (Poisson + MMPP
 #: flows through polling/deferrable server banks) on top of the
 #: periodic workload — short server periods make it release-heavy, the
 #: regime where grant lookups ride the hot path.  It must not be the
@@ -91,17 +84,11 @@ def _aperiodic_traffic(m: int) -> TrafficSpec:
         ),
     ))
 
-#: (label, dispatcher, backend) — the timed variants.  "incremental" on
-#: the reference backend is the pivot both speedups are measured against.
-VARIANTS: Tuple[Tuple[str, str, str], ...] = (
-    ("baseline", "baseline", "reference"),
-    ("incremental", "incremental", "reference"),
-    ("soa", "incremental", "soa"),
-)
+#: The timed kernel backends; "reference" is the pivot of the speedup.
+BACKENDS: Tuple[str, ...] = ("reference", "soa")
 
 
-def _run_once(ts, dispatcher: str, horizon: float, backend: str = "reference",
-              traffic: TrafficSpec = None):
+def _run_once(ts, backend: str, horizon: float, traffic: TrafficSpec = None):
     # TrafficBehavior carries per-run grant state: build it fresh per
     # run (sharing one across repetitions would corrupt the grants).
     behavior = ConstantBehavior()
@@ -110,7 +97,7 @@ def _run_once(ts, dispatcher: str, horizon: float, backend: str = "reference",
     kernel = create_kernel(
         ts,
         behavior=behavior,
-        config=KernelConfig(dispatcher=dispatcher, backend=backend),
+        config=KernelConfig(backend=backend),
     )
     monitor = NullMonitor(kernel)
     kernel.attach_monitor(monitor)
@@ -138,25 +125,22 @@ def _measure_cell(
     prints: Dict[str, Any] = {}
     best: Dict[str, int] = {}
     events: Dict[str, int] = {}
-    for label, dispatcher, backend in VARIANTS:  # warm-up
-        _run_once(ts, dispatcher, min(horizon, 0.25), backend, tspec)
-    for _ in range(reps):  # interleaved: one rep of each variant per pass
-        for label, dispatcher, backend in VARIANTS:
-            elapsed_ns, kernel, trace, monitor = _run_once(
-                ts, dispatcher, horizon, backend, tspec
-            )
-            if label not in best or elapsed_ns < best[label]:
-                best[label] = elapsed_ns
-            events[label] = kernel.events_processed
-            prints[label] = fingerprint(trace, kernel, monitor)
-    rates = {label: events[label] / (best[label] / 1e9) for label in best}
+    for backend in BACKENDS:  # warm-up
+        _run_once(ts, backend, min(horizon, 0.25), tspec)
+    for _ in range(reps):  # interleaved: one rep of each backend per pass
+        for backend in BACKENDS:
+            elapsed_ns, kernel, trace, monitor = _run_once(ts, backend, horizon, tspec)
+            if backend not in best or elapsed_ns < best[backend]:
+                best[backend] = elapsed_ns
+            events[backend] = kernel.events_processed
+            prints[backend] = fingerprint(trace, kernel, monitor)
+    rates = {backend: events[backend] / (best[backend] / 1e9) for backend in best}
 
-    # A fast variant that computes a different schedule is a bug, not a
-    # win — this pins all three to one behaviour.
-    for label in ("incremental", "soa"):
-        assert prints["baseline"] == prints[label], (
-            f"cell {name}: {label} diverged from baseline"
-        )
+    # A fast backend that computes a different schedule is a bug, not a
+    # win — this pins both to one behaviour.
+    assert prints["reference"] == prints["soa"], (
+        f"cell {name}: soa diverged from reference"
+    )
 
     return {
         "cell": name,
@@ -165,19 +149,17 @@ def _measure_cell(
         "level_c_tasks": n_level_c,
         "tasks": len(ts),
         "horizon": horizon,
-        "events": events["incremental"],
-        "baseline_events_per_sec": rates["baseline"],
-        "incremental_events_per_sec": rates["incremental"],
+        "events": events["reference"],
+        "reference_events_per_sec": rates["reference"],
         "soa_events_per_sec": rates["soa"],
-        "speedup": rates["incremental"] / rates["baseline"],
-        "soa_speedup": rates["soa"] / rates["incremental"],
+        "soa_speedup": rates["soa"] / rates["reference"],
     }
 
 
 def measure(
     seed: int = 2015, horizon: float = 10.0, reps: int = 3
 ) -> Dict[str, Any]:
-    """Time every variant over every cell; return the comparison doc."""
+    """Time both backends over every cell; return the comparison doc."""
     return {
         "format": "repro-kernel-throughput",
         "version": 2,
@@ -196,25 +178,15 @@ def check_against(doc: Dict[str, Any], baseline: Dict[str, Any]) -> list:
 
     Ratios of two runs on the same machine cancel the machine's absolute
     speed, so a recorded baseline stays meaningful across CI runners; the
-    30 % tolerance absorbs scheduling noise.  Two families of checks:
-
-    * the incremental-vs-baseline dispatcher speedup per cell (parity
-      with the recorded reference figures);
-    * the soa-vs-reference backend speedup per cell, plus the absolute
-      >= 2x gate on the 8-CPU cells.
+    30 % tolerance absorbs scheduling noise.  Checked: the soa-vs-reference
+    speedup per cell against its recorded figure, plus the absolute
+    >= 2x gate on the 8-CPU cells.
     """
     recorded = {c["cell"]: c for c in baseline["cells"]}
     problems = []
     for cell in doc["cells"]:
         want = recorded.get(cell["cell"])
         if want is not None:
-            floor = want["speedup"] * (1.0 - CHECK_TOLERANCE)
-            if cell["speedup"] < floor:
-                problems.append(
-                    f"{cell['cell']}: speedup {cell['speedup']:.2f}x fell below "
-                    f"{floor:.2f}x (recorded {want['speedup']:.2f}x - "
-                    f"{CHECK_TOLERANCE:.0%})"
-                )
             want_soa = want.get("soa_speedup")
             if want_soa is not None:
                 floor = want_soa * (1.0 - CHECK_TOLERANCE)
@@ -236,9 +208,7 @@ def _print_cells(doc: Dict[str, Any]) -> None:
     for cell in doc["cells"]:
         print(
             f"{cell['cell']:>12}: "
-            f"{cell['baseline_events_per_sec']:>11,.0f} ev/s baseline, "
-            f"{cell['incremental_events_per_sec']:>11,.0f} ev/s incremental "
-            f"({cell['speedup']:.2f}x), "
+            f"{cell['reference_events_per_sec']:>11,.0f} ev/s reference, "
             f"{cell['soa_events_per_sec']:>11,.0f} ev/s soa "
             f"({cell['soa_speedup']:.2f}x) "
             f"[{cell['level_c_tasks']} level-C tasks, {cell['events']} events]"
@@ -253,13 +223,11 @@ def bench_kernel_throughput(benchmark):
     print()
     _print_cells(doc)
     for cell in doc["cells"]:
-        benchmark.extra_info[cell["cell"] + "_speedup"] = round(cell["speedup"], 2)
         benchmark.extra_info[cell["cell"] + "_soa_speedup"] = round(
             cell["soa_speedup"], 2
         )
     large = doc["cells"][-1]
     assert large["level_c_tasks"] >= 64
-    assert large["speedup"] >= 1.5, "incremental dispatch lost its edge"
     # The strict SOA_GATE is enforced by --check over the full-horizon
     # measurement; the short smoke run here gets the usual noise margin.
     for cell in doc["cells"]:
@@ -282,7 +250,7 @@ def main(argv=None) -> int:
     ap.add_argument("--out", metavar="FILE",
                     help="write the comparison as JSON to FILE")
     ap.add_argument("--check", metavar="BASELINE",
-                    help="fail if any cell's speedup regressed >30%% vs "
+                    help="fail if any cell's soa speedup regressed >30%% vs "
                          "BASELINE, or the soa 8-CPU gate is missed")
     args = ap.parse_args(argv)
 
@@ -304,7 +272,7 @@ def main(argv=None) -> int:
             print(f"REGRESSION: {p}")
         if problems:
             return 1
-        print(f"speedups within {CHECK_TOLERANCE:.0%} of {args.check}; "
+        print(f"soa speedups within {CHECK_TOLERANCE:.0%} of {args.check}; "
               f"soa gate ({SOA_GATE:.1f}x on 8-CPU cells) held")
     return 0
 

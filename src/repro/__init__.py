@@ -86,7 +86,6 @@ from repro.runtime import (
     TaskSetSpec,
     make_executor,
     monitor_registry,
-    scheduler_registry,
 )
 from repro.sim import KernelConfig, MC2Kernel, Trace, simulate
 from repro.viz import svg_gantt
@@ -161,7 +160,6 @@ __all__ = [
     "ProcessPoolBackend",
     "make_executor",
     "monitor_registry",
-    "scheduler_registry",
     # experiments
     "MonitorSpec",
     "RunResult",

@@ -219,8 +219,7 @@ class FaultPlane:
         assert kernel is not None
         job = Job(task=task, index=0, release=now, exec_time=stall.end - stall.start)
         kernel.jobs_a[stall.cpu].append(job)
-        if kernel._incremental:
-            kernel._index_release(job)
+        kernel._index_release(job)
         if kernel._trace_on:
             kernel._trace_release(job, now)
         self._emit(now, fault=CpuStall.kind, cpu=stall.cpu, until=stall.end)

@@ -148,10 +148,8 @@ def runspec_from_dict(doc: Dict[str, Any]) -> RunSpec:
             windows=tuple((float(a), float(b)) for a, b in sc["windows"]),
             overload_level=sc.get("overload_level", "B"),
         ),
-        monitor=MonitorSpec(
-            kind=mon["kind"],
-            param=float(mon.get("param", 1.0)),
-            extra=(float(mon["extra"]) if mon.get("extra") is not None else None),
+        monitor=MonitorSpec(  # converts param/extra to float unless None
+            kind=mon["kind"], param=mon.get("param", 1.0), extra=mon.get("extra")
         ),
         kernel=KernelSpec(
             use_virtual_time=bool(ker.get("use_virtual_time", True)),

@@ -8,8 +8,8 @@ This module closes the trust loop over that determinism:
 
 * a :class:`ProvenanceManifest` is written next to every merged
   artifact — the input cell keys in merge order, a sha256 digest of
-  each cell's result document, the kernel backends/dispatchers that
-  produced them, the code version (package version + a sha256 over the
+  each cell's result document, the kernel backends that produced
+  them, the code version (package version + a sha256 over the
   ``repro`` source tree), and the sha256 of the merged output bytes;
 * :func:`verify_manifest` (the body of ``repro-mc2 verify``) attests a
   manifest: it re-hashes the merged artifact, re-checks every cell
@@ -130,20 +130,18 @@ def code_version() -> Dict[str, str]:
 
 
 def kernel_info(kind: str, cells: Sequence[Any]) -> Dict[str, List[str]]:
-    """The kernel backends/dispatchers a campaign's cells execute under.
+    """The kernel backends a campaign's cells execute under.
 
     ``kind="sweep"`` cells are :class:`~repro.runtime.spec.RunSpec`;
     ``kind="faults"`` cells carry their spec as ``cell.run``.  Both are
-    reduced to the sorted distinct backend and dispatcher names so the
-    manifest records *what simulator core* produced the results.
+    reduced to the sorted distinct backend names so the manifest records
+    *what simulator core* produced the results.
     """
     backends = set()
-    dispatchers = set()
     for cell in cells:
         spec = cell if kind == "sweep" else cell.run
         backends.add(spec.kernel.backend)
-        dispatchers.add(spec.kernel.to_config().dispatcher)
-    return {"backends": sorted(backends), "dispatchers": sorted(dispatchers)}
+    return {"backends": sorted(backends)}
 
 
 # ----------------------------------------------------------------------

@@ -6,9 +6,9 @@ package turns one grid cell into a frozen, hashable, picklable
 :class:`~repro.runtime.spec.RunSpec` and provides the machinery to run
 many of them:
 
-* :mod:`repro.runtime.registry` — string-keyed plugin registries for
-  monitor policies and per-level schedulers, so extensions register
-  themselves instead of patching ``if``/``elif`` chains in core modules;
+* :mod:`repro.runtime.registry` — a string-keyed plugin registry for
+  monitor policies, so extensions register themselves instead of
+  patching ``if``/``elif`` chains in core modules;
 * :mod:`repro.runtime.spec` — ``RunSpec`` and its component specs
   (task-set reference, scenario, monitor, kernel knobs), all plain
   frozen dataclasses with canonical JSON forms (:mod:`repro.io.runspec_json`);
@@ -37,7 +37,6 @@ from repro.runtime.registry import (
     MonitorKind,
     Registry,
     monitor_registry,
-    scheduler_registry,
 )
 from repro.runtime.shard import (
     CampaignStore,
@@ -63,7 +62,6 @@ __all__ = [
     "Registry",
     "MonitorKind",
     "monitor_registry",
-    "scheduler_registry",
     "TaskSetSpec",
     "ScenarioSpec",
     "MonitorSpec",

@@ -1,4 +1,4 @@
-"""String-keyed plugin registries for monitors and schedulers.
+"""String-keyed plugin registry for monitors.
 
 Historically :class:`~repro.runtime.spec.MonitorSpec` dispatched on an
 ``if``/``elif`` chain and duplicated the label formatting alongside it;
@@ -14,11 +14,6 @@ builder and the label now come from one :class:`MonitorKind` entry in
         build=lambda kernel, param, extra: AdditiveDecreaseMonitor(...),
         label=lambda param, extra: f"ADDITIVE(s={param:g})",
     ))
-
-:data:`scheduler_registry` is the same surface for the per-level
-scheduling policies the kernel consults (level A table-driven, level B
-partitioned EDF, level C global GEL-v, level D best-effort), so analysis
-tools and future kernel variants can look policies up by name.
 """
 
 from __future__ import annotations
@@ -30,7 +25,6 @@ __all__ = [
     "Registry",
     "MonitorKind",
     "monitor_registry",
-    "scheduler_registry",
 ]
 
 T = TypeVar("T")
@@ -128,10 +122,6 @@ class MonitorKind:
 #: Monitor policies addressable from a :class:`~repro.runtime.spec.MonitorSpec`.
 monitor_registry: Registry[MonitorKind] = Registry("monitor")
 
-#: Per-level scheduling policies (lookup surface for tools and plugins;
-#: the kernel's fast path binds them directly).
-scheduler_registry: Registry[Callable] = Registry("scheduler")
-
 
 def _register_builtin_monitors() -> None:
     from repro.core.monitor import AdaptiveMonitor, NullMonitor, SimpleMonitor
@@ -186,17 +176,4 @@ def _register_builtin_monitors() -> None:
     )
 
 
-def _register_builtin_schedulers() -> None:
-    from repro.schedulers.best_effort import pick_best_effort
-    from repro.schedulers.gel_global import select_gel_jobs
-    from repro.schedulers.pedf import pick_edf
-    from repro.schedulers.table_driven import pick_table_driven
-
-    scheduler_registry.register("table_driven", pick_table_driven)
-    scheduler_registry.register("pedf", pick_edf)
-    scheduler_registry.register("gel", select_gel_jobs)
-    scheduler_registry.register("best_effort", pick_best_effort)
-
-
 _register_builtin_monitors()
-_register_builtin_schedulers()

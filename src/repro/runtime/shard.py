@@ -21,7 +21,10 @@ happened to retain.  This module makes campaign execution *durable*:
   lease path, which fails if a lease exists, so no owner can see a
   lease without its content), heartbeat it after every cell, and
   release it when the shard's result manifest lands.  A lease whose
-  heartbeat is older than the TTL is presumed dead and reclaimed.
+  heartbeat is older than the TTL is presumed dead and reclaimed: the
+  thief takes an exclusive ``flock`` on ``leases/steal.lock``, re-reads
+  the lease, and replaces it only if it is still the one it judged
+  expired, so of several owners stealing one lease exactly one wins.
   Results do not depend on leases: cells are deterministic, so the rare
   double execution after an expired lease is stolen from a worker that
   was only slow writes the same manifest twice.
@@ -58,6 +61,7 @@ to whatever is unfinished.
 from __future__ import annotations
 
 import concurrent.futures
+import fcntl
 import hashlib
 import json
 import os
@@ -507,9 +511,10 @@ class CampaignStore:
     ) -> bool:
         """Claim *shard_id*: fresh lease, or steal one whose heartbeat expired.
 
-        Best-effort mutual exclusion — see the module docstring; a lost
-        race costs a redundant (deterministic) shard execution, never a
-        wrong result.
+        Of several owners claiming one free or expired lease, exactly
+        one wins.  A live owner that was only slow can still lose its
+        lease to a thief — see the module docstring; that costs a
+        redundant (deterministic) shard execution, never a wrong result.
 
         Staleness is judged on ``clock``, **monotonic** by default:
         lease files coordinate processes on one machine, where
@@ -546,10 +551,17 @@ class CampaignStore:
             beat = float(existing.get("heartbeat", 0.0))
             if now - beat <= lease_ttl:
                 return False
-        # Expired (or torn) lease: steal it atomically and confirm.
-        atomic_write_text(path, payload, fsync=False)
-        stolen = self.read_lease(shard_id)
-        return stolen is not None and stolen.get("owner") == owner
+        # Expired (or torn) lease: steal it under the steal lock, unless
+        # another thief replaced it between our read and the lock.
+        fd = os.open(path.parent / "steal.lock", os.O_RDWR | os.O_CREAT, 0o644)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX)
+            if self.read_lease(shard_id) != existing:
+                return False
+            atomic_write_text(path, payload, fsync=False)
+            return True
+        finally:
+            os.close(fd)  # releases the lock
 
     def heartbeat(
         self, shard_id: str, owner: str, clock: Callable[[], float] = time.monotonic

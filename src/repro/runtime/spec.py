@@ -33,6 +33,7 @@ from typing import Dict, Optional, Tuple
 from repro.model.taskset import TaskSet
 from repro.runtime.registry import monitor_registry
 from repro.sim.kernel import KernelConfig
+from repro.util.validation import store_floats
 from repro.workload.generator import GeneratorParams, generate_taskset
 from repro.workload.scenarios import OverloadScenario
 
@@ -130,6 +131,11 @@ class ScenarioSpec:
     windows: Tuple[Tuple[float, float], ...]
     overload_level: str = "B"
 
+    def __post_init__(self) -> None:
+        # Floats, as a JSON reload gives back (see store_floats).
+        windows = tuple((float(a), float(b)) for a, b in self.windows)
+        object.__setattr__(self, "windows", windows)
+
     @classmethod
     def from_scenario(cls, sc: OverloadScenario) -> "ScenarioSpec":
         return cls(
@@ -179,6 +185,7 @@ class MonitorSpec:
         entry = monitor_registry.get(self.kind)  # raises listing known kinds
         if entry.validate is not None:
             entry.validate(self.param)
+        store_floats(self, "param", "extra")
 
     def _resolved_extra(self) -> Optional[float]:
         if self.extra is not None:
@@ -223,6 +230,7 @@ class KernelSpec:
         from repro.sim.backend import kernel_backend_registry
 
         kernel_backend_registry.get(self.backend)  # raises listing known kinds
+        store_floats(self, "monitor_latency")
 
     @classmethod
     def from_config(cls, config: KernelConfig) -> "KernelSpec":
@@ -313,6 +321,7 @@ class RunSpec:
             raise ValueError(f"horizon must be positive, got {self.horizon}")
         if self.confirm_window < 0:
             raise ValueError(f"confirm_window must be >= 0, got {self.confirm_window}")
+        store_floats(self, "horizon", "confirm_window")
 
     def canonical_json(self) -> str:
         """Canonical JSON form (sorted keys, no incidental whitespace)."""

@@ -2,7 +2,11 @@
 
 Each module implements the *policy* (who should run, given eligible
 jobs); the mechanics (preemption, accounting, timers) live in
-:mod:`repro.sim.kernel`, which consults these policies at every event.
+:mod:`repro.sim.kernel`.  The kernel dispatches from incremental indexes
+that select what these policies select;
+:func:`repro.sim.diffcheck.scratch_assignment` applies the policies to
+the kernel's whole job pools, and the differential checks compare the
+two at every dispatch.
 
 * :mod:`repro.schedulers.table_driven` — level A: per-CPU cyclic-executive
   time tables built over the hyperperiod.

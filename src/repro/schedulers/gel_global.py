@@ -30,8 +30,8 @@ def place_gel_jobs(
     priority order.  Placement is migration-averse: a selected job
     already running on a free CPU stays put; the rest fill the remaining
     CPUs in priority order.  Shared by :func:`select_gel_jobs` (which
-    sorts the whole pool) and the kernel's incremental dispatcher (which
-    pops the same jobs from its ready heap) so both produce bit-identical
+    sorts the whole pool) and the kernel's dispatcher (which slices the
+    same jobs off its sorted ready list) so both produce bit-identical
     placements.
     """
     assignment: Dict[int, Optional[Job]] = dict.fromkeys(free_cpus)

@@ -1,17 +1,24 @@
-"""Differential equivalence harness: baseline vs. incremental dispatch.
+"""Differential equivalence harness: reference vs. soa kernel backend.
 
-The kernel carries two dispatcher implementations (see
-:class:`~repro.sim.kernel.KernelConfig`): the original *baseline* path
-that re-sorts the full level-C pool at every scheduling point, and the
-*incremental* path built on lazy heaps and per-task head tracking.  The
-two are required to be **trace-equivalent**: run over the same scenario
-they must produce bit-identical job records, execution intervals, speed
-changes, preemption/migration counts, and event counts.
+Every :func:`compare_backends` run makes two checks:
 
-This module is the gate for that requirement.  It
+* **Dispatch.**  The reference kernel (:class:`~repro.sim.kernel.MC2Kernel`)
+  dispatches from incremental indexes (lazy heaps, per-task heads, a
+  sorted ready list).  :func:`check_dispatches` recomputes every
+  assignment from the kernel's job pools with the per-level policies of
+  :mod:`repro.schedulers` (:func:`scratch_assignment`: level-A table
+  order, level-B EDF, GEL-v, level-D FIFO — Fig. 1) and fails the run at
+  the first assignment that differs, before it is applied.
+* **Backends.**  The struct-of-arrays backend (:mod:`repro.sim.soa`)
+  must be **trace-equivalent** to the reference: run over the same
+  scenario, both produce bit-identical job records, execution
+  intervals, speed changes, preemption/migration counts, and event
+  counts.
 
-* runs one scenario under both dispatchers
-  (:func:`run_dispatcher` / :func:`compare_dispatchers`),
+This module
+
+* runs one scenario on one backend (:func:`run_backend`), or on both
+  with every reference dispatch checked (:func:`compare_backends`),
 * reduces each run to a comparable :func:`fingerprint`,
 * generates randomized scenario grids spanning the interesting axes —
   platform size, utilization, overload scenarios, recovery monitors,
@@ -28,7 +35,7 @@ from __future__ import annotations
 import argparse
 import random
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.monitor import AdaptiveMonitor, Monitor, NullMonitor, SimpleMonitor
 from repro.model.behavior import (
@@ -36,8 +43,15 @@ from repro.model.behavior import (
     ExecutionBehavior,
     PwcetFractionBehavior,
 )
+from repro.model.job import Job
 from repro.model.task import CriticalityLevel, Task
 from repro.model.taskset import TaskSet
+from repro.schedulers import (
+    pick_best_effort,
+    pick_edf,
+    pick_table_driven,
+    select_gel_jobs,
+)
 from repro.sim.backend import create_kernel
 from repro.sim.kernel import KernelConfig, MC2Kernel
 from repro.sim.trace import Trace
@@ -51,12 +65,12 @@ __all__ = [
     "build_kernel",
     "fingerprint",
     "fingerprint_digest",
-    "run_dispatcher",
-    "compare_dispatchers",
+    "run_backend",
+    "scratch_assignment",
+    "check_dispatches",
     "compare_backends",
     "random_scenarios",
     "check_many",
-    "check_many_backends",
     "main",
 ]
 
@@ -185,7 +199,7 @@ class DiffScenario:
 
 @dataclass(frozen=True)
 class DiffResult:
-    """Outcome of one baseline-vs-incremental comparison."""
+    """Outcome of one reference-vs-soa comparison."""
 
     scenario: DiffScenario
     equal: bool
@@ -235,10 +249,8 @@ def _monitor_for(sc: DiffScenario, kernel: MC2Kernel) -> Monitor:
     raise ValueError(f"unknown monitor {sc.monitor!r}")
 
 
-def build_kernel(
-    sc: DiffScenario, dispatcher: str, backend: str = "reference"
-) -> Tuple[MC2Kernel, Monitor]:
-    """Construct the kernel + monitor for *sc* under *dispatcher*/*backend*."""
+def build_kernel(sc: DiffScenario, backend: str) -> Tuple[MC2Kernel, Monitor]:
+    """Construct the kernel + monitor for *sc* on kernel *backend*."""
     ts = generate_taskset(
         sc.seed, GeneratorParams(m=sc.m, util_range=sc.util_range)
     )
@@ -255,7 +267,6 @@ def build_kernel(
         use_virtual_time=sc.use_virtual_time,
         record_intervals=sc.record_intervals,
         monitor_latency=sc.monitor_latency,
-        dispatcher=dispatcher,
         backend=backend,
     )
     kernel = create_kernel(ts, behavior=behavior, config=config)
@@ -314,27 +325,91 @@ def fingerprint_digest(fp: Dict[str, object]) -> str:
     return sha256_hex(canonical_json(fp))
 
 
-def run_dispatcher(
-    sc: DiffScenario, dispatcher: str, backend: str = "reference"
-) -> Dict[str, object]:
-    """Run *sc* to its horizon under *dispatcher*; return the fingerprint."""
-    kernel, monitor = build_kernel(sc, dispatcher, backend)
-    trace = kernel.run(sc.horizon)
-    return fingerprint(trace, kernel, monitor)
+def run_backend(sc: DiffScenario, backend: str) -> Dict[str, object]:
+    """Run *sc* to its horizon on kernel *backend*; return the fingerprint."""
+    kernel, monitor = build_kernel(sc, backend)
+    return fingerprint(kernel.run(sc.horizon), kernel, monitor)
 
 
-def compare_dispatchers(sc: DiffScenario) -> DiffResult:
-    """Run *sc* under both dispatchers and diff the fingerprints."""
-    base = run_dispatcher(sc, "baseline")
-    inc = run_dispatcher(sc, "incremental")
-    mismatched = tuple(k for k in base if base[k] != inc[k])
-    return DiffResult(scenario=sc, equal=not mismatched, mismatched=mismatched)
+def _heads(jobs: Iterable[Job]) -> List[Job]:
+    """Each task's earliest pending job (intra-task precedence)."""
+    head: Dict[int, Job] = {}
+    for j in jobs:
+        cur = head.get(j.task.task_id)
+        if cur is None or j.index < cur.index:
+            head[j.task.task_id] = j
+    return list(head.values())
+
+
+def scratch_assignment(kernel: MC2Kernel) -> List[Optional[Job]]:
+    """The MC² assignment (Fig. 1) recomputed from the kernel's job pools.
+
+    Reads none of the kernel's dispatch indexes: level A in table (RM)
+    order and level B by EDF on each CPU, GEL-v over each level-C task's
+    earliest pending job on the CPUs left, then level-D background on
+    the rest — running D jobs stay in place, the others fill FIFO.  A D
+    job still running on a CPU a higher level just took is not eligible
+    elsewhere until that CPU deschedules it, so this is the assignment
+    for the state just *before* the kernel applies one.
+    """
+    m = kernel.taskset.m
+    assignment: List[Optional[Job]] = [None] * m
+    for p in range(m):
+        if kernel.jobs_a[p]:
+            assignment[p] = pick_table_driven(kernel.jobs_a[p])
+        elif kernel.jobs_b[p]:
+            assignment[p] = pick_edf(kernel.jobs_b[p])
+    free = [p for p in range(m) if assignment[p] is None]
+    for p, job in select_gel_jobs(_heads(kernel.jobs_c), free).items():
+        assignment[p] = job
+    left = [p for p in range(m) if assignment[p] is None]
+    pool = [j for j in _heads(kernel.jobs_d) if j.running_on is None or j.running_on in left]
+    for p in left:
+        cur = kernel.processors[p].current
+        if cur is not None and cur in pool:
+            assignment[p] = cur
+            pool.remove(cur)
+    for p in left:
+        if assignment[p] is None and pool:
+            assignment[p] = nxt = pick_best_effort(pool)
+            pool.remove(nxt)
+    return assignment
+
+
+def _names(assignment: Sequence[Optional[Job]]) -> List[Optional[str]]:
+    return [None if j is None else f"{j.task.task_id}.{j.index}" for j in assignment]
+
+
+def check_dispatches(kernel: MC2Kernel) -> None:
+    """Check every assignment *kernel* applies against :func:`scratch_assignment`.
+
+    Wraps this reference kernel's ``_apply_assignment``: each assignment
+    is compared with the policies' selection before it is applied, and
+    the first difference raises :class:`AssertionError` naming the
+    instant and both assignments (as ``task.job`` per CPU).  Comparing
+    after the apply would not work: level-D dispatch is not idempotent.
+    """
+    apply = kernel._apply_assignment
+
+    def checked(assignment: Sequence[Optional[Job]], now: float) -> None:
+        expected = scratch_assignment(kernel)
+        if list(assignment) != expected:
+            raise AssertionError(
+                f"t={now}: dispatched {_names(assignment)}, "
+                f"the policies select {_names(expected)}"
+            )
+        apply(assignment, now)
+
+    kernel._apply_assignment = checked  # type: ignore[method-assign]
 
 
 def compare_backends(sc: DiffScenario) -> DiffResult:
-    """Run *sc* under the reference and SoA backends; diff the fingerprints."""
-    ref = run_dispatcher(sc, "incremental", "reference")
-    soa = run_dispatcher(sc, "incremental", "soa")
+    """Run *sc* on both backends, checking every reference dispatch
+    (:func:`check_dispatches`); diff the fingerprints."""
+    kernel, monitor = build_kernel(sc, "reference")
+    check_dispatches(kernel)
+    ref = fingerprint(kernel.run(sc.horizon), kernel, monitor)
+    soa = run_backend(sc, "soa")
     mismatched = tuple(k for k in ref if ref[k] != soa[k])
     return DiffResult(scenario=sc, equal=not mismatched, mismatched=mismatched)
 
@@ -385,15 +460,7 @@ def random_scenarios(count: int, base_seed: int = 2015) -> List[DiffScenario]:
 def check_many(
     scenarios: Sequence[DiffScenario],
 ) -> Tuple[int, List[DiffResult]]:
-    """Compare every scenario; return ``(checked, failures)``."""
-    failures = [r for r in map(compare_dispatchers, scenarios) if not r.equal]
-    return len(scenarios), failures
-
-
-def check_many_backends(
-    scenarios: Sequence[DiffScenario],
-) -> Tuple[int, List[DiffResult]]:
-    """reference-vs-soa twin of :func:`check_many`."""
+    """:func:`compare_backends` every scenario; return ``(checked, failures)``."""
     failures = [r for r in map(compare_backends, scenarios) if not r.equal]
     return len(scenarios), failures
 
@@ -401,19 +468,13 @@ def check_many_backends(
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI: sweep randomized scenarios, exit non-zero on any divergence."""
     parser = argparse.ArgumentParser(
-        description="Differential check: baseline vs incremental dispatch, "
-        "or reference vs soa kernel backend"
+        description="Differential check: reference vs soa kernel backend, "
+        "with every reference dispatch checked against the per-level policies"
     )
     parser.add_argument("--count", type=int, default=50, help="scenarios to run")
     parser.add_argument("--base-seed", type=int, default=2015)
     parser.add_argument(
         "--horizon", type=float, default=None, help="override every scenario's horizon"
-    )
-    parser.add_argument(
-        "--mode",
-        choices=("dispatchers", "backends"),
-        default="dispatchers",
-        help="what to diff: the two dispatchers (default) or the two kernel backends",
     )
     parser.add_argument(
         "--traffic",
@@ -427,8 +488,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         scenarios = [replace(sc, horizon=args.horizon) for sc in scenarios]
     if args.traffic is not None:
         scenarios = [replace(sc, traffic=args.traffic) for sc in scenarios]
-    check = check_many if args.mode == "dispatchers" else check_many_backends
-    checked, failures = check(scenarios)
+    checked, failures = check_many(scenarios)
     for fail in failures:
         print(f"DIVERGED [{', '.join(fail.mismatched)}]: {fail.scenario.label()}")
     print(f"{checked - len(failures)}/{checked} scenarios trace-equivalent")

@@ -49,9 +49,7 @@ from repro.obs.spans import SpanTimer
 from repro.obs.telemetry import PHASE_PROFILER, PHASE_SAMPLE_MASK
 from repro.obs.tracer import NULL_TRACER, EventName, Tracer
 from repro.schedulers.best_effort import pick_best_effort
-from repro.schedulers.gel_global import place_gel_jobs, select_gel_jobs
-from repro.schedulers.pedf import pick_edf
-from repro.schedulers.table_driven import pick_table_driven
+from repro.schedulers.gel_global import place_gel_jobs
 from repro.sim.engine import Engine
 from repro.sim.events import Event, EventKind
 from repro.sim.processor import Processor
@@ -124,13 +122,6 @@ class KernelConfig:
         time-triggered).  The extra separation is measured in virtual
         time for level-C tasks, keeping releases legal under eq. 5.
         ``None`` (default) gives the paper's periodic release pattern.
-    dispatcher:
-        ``"incremental"`` (default) dispatches from lazily-maintained
-        heaps and advances only the processors an event touches —
-        O(m + k log n) per event.  ``"baseline"`` is the original
-        O(m + n log n) advance-everything/sort-everything path, kept as
-        differential ground truth (:mod:`repro.sim.diffcheck` asserts the
-        two are trace-identical).
     backend:
         Kernel implementation to instantiate: ``"reference"`` (this
         module's object-based :class:`MC2Kernel`) or ``"soa"`` (the
@@ -145,7 +136,6 @@ class KernelConfig:
     monitor_latency: float = 0.0
     measure_overhead: bool = False
     release_delay: Optional[Callable[[Task, int], float]] = None
-    dispatcher: str = "incremental"
     backend: str = "reference"
 
 
@@ -193,12 +183,6 @@ class MC2Kernel:
         self.taskset = taskset
         self.behavior: ExecutionBehavior = behavior if behavior is not None else ConstantBehavior()
         self.config = config if config is not None else KernelConfig()
-        if self.config.dispatcher not in ("incremental", "baseline"):
-            raise ValueError(
-                f"unknown dispatcher {self.config.dispatcher!r}; "
-                "expected 'incremental' or 'baseline'"
-            )
-        self._incremental = self.config.dispatcher == "incremental"
         self.engine = Engine()
         self.trace = Trace(record_intervals=self.config.record_intervals)
         self.processors = [Processor(p) for p in range(taskset.m)]
@@ -222,12 +206,8 @@ class MC2Kernel:
         #: Kernel metrics (counters + span histograms).
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.spans = SpanTimer(self.metrics, prefix="kernel")
-        # Hot-path fast binds: the dispatcher strategy is resolved once
-        # here, and with measurement/tracing off the wrapper layer is
-        # skipped so the per-event cost matches the pre-obs kernel.
-        self._pick_next: Callable[[float], None] = (
-            self._pick_next_incremental if self._incremental else self._pick_next_baseline
-        )
+        # Hot-path fast binds: with measurement/tracing off the wrapper
+        # layer is skipped so the per-event cost matches the pre-obs kernel.
         if not self.config.measure_overhead:
             self._reschedule = self._pick_next  # type: ignore[method-assign]
         if not self._trace_on:
@@ -249,10 +229,10 @@ class MC2Kernel:
         self.jobs_c: List[Job] = []
         self.jobs_d: List[Job] = []
 
-        # --- Incremental-dispatcher index structures -------------------
-        # Maintained only when dispatcher == "incremental" (the baseline
-        # path intentionally shares nothing with them, so the diffcheck
-        # harness also validates this bookkeeping).  Invariants:
+        # --- Dispatch index structures ---------------------------------
+        # The dispatcher reads only these; repro.sim.diffcheck recomputes
+        # every assignment from the job pools above with the per-level
+        # policies, which also validates this bookkeeping.  Invariants:
         # * _pending_cd[tid] holds the task's incomplete released C/D
         #   jobs in index order (releases append; completions remove the
         #   head, or the tail for a zero-demand job completing at its own
@@ -387,32 +367,23 @@ class MC2Kernel:
         # able to "preempt" a job with zero remaining work (its tentative
         # COMPLETION event would sort after the RELEASE and go stale,
         # deferring the completion to the next dispatch).
-        if self._incremental:
-            # Advance only the processors this event touches: the cheap
-            # dirty-set scan below finds same-instant completions without
-            # mutating untouched processors (remaining_at evaluates the
-            # exact expression an advance would store), and descheduling
-            # paths advance on demand.  Anchor-based accounting makes the
-            # deferred advances bit-identical to the baseline's
-            # advance-everything loop.
-            for proc in self.processors:
-                job = proc.current
-                # Inlined proc.remaining_at(now) <= eps (the max(0, .)
-                # clamp is redundant against a positive eps): this runs
-                # once per busy CPU per event, and the attribute reads
-                # measurably beat a method call.
-                if job is not None and (
-                    proc._anchor_remaining - (now - proc._anchor_time) <= eps
-                ):
-                    proc.advance(now)
-                    self._finish_running(proc, job, now)
-        else:
-            for proc in self.processors:
+        # Advance only the processors this event touches: the cheap scan
+        # below finds same-instant completions without mutating untouched
+        # processors (remaining_at evaluates the exact expression an
+        # advance would store), and descheduling paths advance on demand.
+        # Anchor-based accounting makes the deferred advances
+        # bit-identical to advancing every processor at every event.
+        for proc in self.processors:
+            job = proc.current
+            # Inlined proc.remaining_at(now) <= eps (the max(0, .) clamp
+            # is redundant against a positive eps): this runs once per
+            # busy CPU per event, and the attribute reads measurably beat
+            # a method call.
+            if job is not None and (
+                proc._anchor_remaining - (now - proc._anchor_time) <= eps
+            ):
                 proc.advance(now)
-            for proc in self.processors:
-                job = proc.current
-                if job is not None and job.remaining <= eps:
-                    self._finish_running(proc, job, now)
+                self._finish_running(proc, job, now)
         if ev.kind is EventKind.RELEASE:
             self._on_release_timer(ev, now)
         elif ev.kind is EventKind.COMPLETION:
@@ -526,8 +497,7 @@ class MC2Kernel:
         job.virtual_pp = v_r + task.relative_pp
         job.actual_pp = None
         self.jobs_c.append(job)
-        if self._incremental:
-            self._index_release(job)
+        self._index_release(job)
         if self._trace_on:
             self._trace_release(job, now)
         self._notify_release(job, now)
@@ -555,8 +525,7 @@ class MC2Kernel:
             self.jobs_b[task.cpu].append(job)  # type: ignore[index]
         else:
             self.jobs_d.append(job)
-        if self._incremental:
-            self._index_release(job)
+        self._index_release(job)
         if self._trace_on:
             self._trace_release(job, now)
         self._maybe_complete_zero(job, now)
@@ -590,8 +559,8 @@ class MC2Kernel:
     def _finish_running(self, proc: Processor, job: Job, now: float) -> None:
         """Complete *job*, currently running on *proc*, at *now*.
 
-        Shared by both dispatch modes' exhausted-job pre-pass; the caller
-        must have advanced *proc* to *now* first.
+        Called from the exhausted-job pre-pass of :meth:`_handle`; the
+        caller must have advanced *proc* to *now* first.
         """
         job.remaining = 0.0
         cpu = proc.cpu_id
@@ -614,7 +583,7 @@ class MC2Kernel:
             return  # stale, or already completed by the pre-pass
         cpu = job.running_on
         proc = self.processors[cpu]
-        proc.advance(now)  # no-op in baseline mode (already advanced)
+        proc.advance(now)
         if job.remaining > completion_eps(now):
             job.generation += 1
             self._record_interval(cpu, job, self._run_start[cpu], now)
@@ -664,14 +633,11 @@ class MC2Kernel:
         while every processor stays busy, and such an instant must not
         become an idle-instant candidate (Def. 2 would not hold).
         """
-        eligible_c = (
-            self._head_c.values() if self._incremental else self._eligible(self.jobs_c)
-        )
         m = self.taskset.m
         busy_ab = sum(
             1 for cpu in range(m) if self.jobs_a[cpu] or self.jobs_b[cpu]
         )
-        processor_idle = busy_ab + len(eligible_c) < m
+        processor_idle = busy_ab + len(self._head_c) < m
         buffered, self._report_buffer = self._report_buffer, []
         for job in buffered:
             report = CompletionReport(
@@ -703,11 +669,10 @@ class MC2Kernel:
             self.jobs_c.remove(job)
         else:
             self.jobs_d.remove(job)
-        if self._incremental:
-            self._deindex_complete(job)
+        self._deindex_complete(job)
 
     # ------------------------------------------------------------------
-    # Incremental-dispatcher bookkeeping (see __init__ for invariants)
+    # Dispatch index bookkeeping (see __init__ for invariants)
     # ------------------------------------------------------------------
     def _index_release(self, job: Job) -> None:
         """Register a newly released job with the dispatch indexes."""
@@ -886,44 +851,16 @@ class MC2Kernel:
         else:
             self._pick_next(now)
 
-    def _pick_next_baseline(self, now: float) -> None:
-        """The original advance-everything/sort-everything dispatch.
+    def _pick_next(self, now: float) -> None:
+        """Index-backed dispatch: O(m + k log n) per event.
 
-        O(m + n log n) per event; kept verbatim as the differential
-        ground truth for the incremental path (``repro.sim.diffcheck``).
-        """
-        m = self.taskset.m
-        assignment: List[Optional[Job]] = [None] * m
-        # Level A claims its CPU first (highest priority, table order).
-        for p in range(m):
-            if self.jobs_a[p]:
-                assignment[p] = pick_table_driven(self.jobs_a[p])
-        # Level B: partitioned EDF on CPUs without level-A work.
-        for p in range(m):
-            if assignment[p] is None and self.jobs_b[p]:
-                assignment[p] = pick_edf(self.jobs_b[p])
-        # Level C: global GEL-v on the remaining CPUs.  Only each task's
-        # earliest incomplete job is eligible: jobs of one task execute
-        # sequentially (intra-task precedence), which is what makes a
-        # single task's utilization a genuine bottleneck (paper Fig. 3).
-        free = [p for p in range(m) if assignment[p] is None]
-        if free and self.jobs_c:
-            for cpu, job in select_gel_jobs(self._eligible(self.jobs_c), free).items():
-                assignment[cpu] = job
-        # Level D: background on whatever is left.
-        left = [p for p in range(m) if assignment[p] is None]
-        if left and self.jobs_d:
-            self._dispatch_level_d(assignment, left, self._eligible(self.jobs_d))
-        self._apply_assignment(assignment, now)
-
-    def _pick_next_incremental(self, now: float) -> None:
-        """Heap-backed dispatch: O(m + k log n) per event.
-
-        Selects exactly what :meth:`_pick_next_baseline` would — level-A
-        RM and level-B EDF minima come from per-CPU lazy heaps, the
-        level-C GEL-v top-k from the ready heap (same key, same
-        tie-break), and placement reuses the same migration-averse pass —
-        so the resulting assignment is bit-identical.
+        Level-A RM and level-B EDF minima come from per-CPU lazy heaps,
+        the level-C GEL-v top-k from the sorted ready list, and placement
+        is the migration-averse :func:`place_gel_jobs` pass.  The result
+        must equal what the per-level policies of :mod:`repro.schedulers`
+        select from the whole job pools;
+        :func:`repro.sim.diffcheck.check_dispatches` asserts that before
+        a differential run applies each assignment.
         """
         m = self.taskset.m
         assignment: List[Optional[Job]] = [None] * m
@@ -947,26 +884,18 @@ class MC2Kernel:
                 assignment[cpu] = job
         left = [p for p in range(m) if assignment[p] is None]
         if left and self._head_d:
-            self._dispatch_level_d(assignment, left, self._head_d.values())
+            self._dispatch_level_d(assignment, left)
         self._apply_assignment(assignment, now)
 
-    def _dispatch_level_d(
-        self,
-        assignment: List[Optional[Job]],
-        left: List[int],
-        eligible: "Sequence[Job] | object",
-    ) -> None:
-        """Fill leftover CPUs with best-effort level-D work (in place).
+    def _dispatch_level_d(self, assignment: List[Optional[Job]], left: List[int]) -> None:
+        """Fill leftover CPUs with best-effort level-D heads (in place).
 
         Keeps running D jobs where they are, then fills FIFO; the result
-        does not depend on *eligible*'s iteration order (the FIFO key is
-        unique per job), so the baseline's list scan and the incremental
-        head registry produce identical assignments.
+        does not depend on the head registry's iteration order (the FIFO
+        key is unique per job).
         """
         pool = [
-            j
-            for j in eligible  # type: ignore[union-attr]
-            if j.running_on is None or j.running_on in left
+            j for j in self._head_d.values() if j.running_on is None or j.running_on in left
         ]
         for p in left:
             cur = self.processors[p].current
@@ -978,16 +907,6 @@ class MC2Kernel:
                 nxt = pick_best_effort(pool)
                 assignment[p] = nxt
                 pool.remove(nxt)  # type: ignore[arg-type]
-
-    @staticmethod
-    def _eligible(jobs: Sequence[Job]) -> List[Job]:
-        """Each task's earliest incomplete job (intra-task precedence)."""
-        head: Dict[int, Job] = {}
-        for j in jobs:
-            cur = head.get(j.task.task_id)
-            if cur is None or j.index < cur.index:
-                head[j.task.task_id] = j
-        return list(head.values())
 
     def _apply_assignment(self, assignment: Sequence[Optional[Job]], now: float) -> None:
         eps = completion_eps(now)

@@ -14,9 +14,8 @@ remaining demand step by step.  Two properties follow:
   and a job advanced once at the end produce bit-identical ``remaining``
   values — the error is bounded by one subtraction's round-off instead
   of growing with the number of events.  This is what lets the
-  incremental dispatcher advance only the processors an event actually
-  touches while staying trace-identical to the advance-everything
-  baseline (see ``repro.sim.diffcheck``).
+  kernel advance only the processors an event actually touches while
+  staying bit-identical to advancing every processor at every event.
 * **Idempotence.**  ``advance(now)`` twice at the same instant is a
   no-op, so shared code paths may advance defensively.
 """

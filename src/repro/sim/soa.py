@@ -100,11 +100,6 @@ class SoAKernel:
             behavior if behavior is not None else ConstantBehavior()
         )
         self.config = config if config is not None else KernelConfig()
-        if self.config.dispatcher not in ("incremental", "baseline"):
-            raise ValueError(
-                f"unknown dispatcher {self.config.dispatcher!r}; "
-                "expected 'incremental' or 'baseline'"
-            )
         self.trace = Trace(record_intervals=self.config.record_intervals)
         self.tracer: Tracer = tracer if tracer is not None else NULL_TRACER
         self._trace_on = self.tracer.enabled
@@ -863,7 +858,7 @@ class SoAKernel:
         self._stale_releases = 0
 
     # ------------------------------------------------------------------
-    # Dispatching (fused _pick_next_incremental + _apply_assignment)
+    # Dispatching (fused _pick_next + _apply_assignment)
     # ------------------------------------------------------------------
     def _dispatch(self, now: float, eps: float) -> None:
         m = self._m

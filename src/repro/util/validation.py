@@ -17,6 +17,7 @@ __all__ = [
     "check_nonnegative",
     "check_finite",
     "check_in_range",
+    "store_floats",
 ]
 
 
@@ -46,6 +47,20 @@ def check_nonnegative(name: str, value: Any) -> None:
     check_finite(name, value)
     if not value >= 0:
         raise ValueError(f"{name} must be >= 0, got {value!r}")
+
+
+def store_floats(spec: Any, *names: str) -> None:
+    """Store the named fields of frozen dataclass *spec* as floats.
+
+    Spec keys hash the JSON form, and a JSON reload reads numbers back as
+    floats: storing floats at construction keeps an int-built spec
+    (``horizon=2``) keyed like its reloaded twin.  ``None`` (an unset
+    optional) stays ``None``.
+    """
+    for name in names:
+        value = getattr(spec, name)
+        if value is not None:
+            object.__setattr__(spec, name, float(value))
 
 
 def check_in_range(

@@ -58,7 +58,7 @@ from repro.io.canonical import canonical_json
 from repro.model.behavior import ExecutionBehavior
 from repro.model.task import CriticalityLevel, Task
 from repro.model.taskset import TaskSet
-from repro.util.validation import check_nonnegative, check_positive
+from repro.util.validation import check_nonnegative, check_positive, store_floats
 
 __all__ = [
     "TRAFFIC_BASE_ID",
@@ -145,6 +145,7 @@ class PoissonSource:
         check_positive("rate", self.rate)
         check_positive("mean_demand", self.mean_demand)
         _check_demand_kind(self.demand)
+        store_floats(self, "rate", "mean_demand")
 
     def arrivals(self, horizon: float) -> Tuple[Arrival, ...]:
         times = _poisson_times(
@@ -202,6 +203,7 @@ class MMPPSource:
             check_positive(f"dwells[{i}]", d)
         check_positive("mean_demand", self.mean_demand)
         _check_demand_kind(self.demand)
+        store_floats(self, "mean_demand")
         if not 0 <= self.start_state < len(self.rates):
             raise ValueError(
                 f"start_state {self.start_state} outside range({len(self.rates)})"
@@ -295,6 +297,7 @@ class DiurnalCurveSource:
         check_positive("mean_demand", self.mean_demand)
         check_nonnegative("phase", self.phase)
         _check_demand_kind(self.demand)
+        store_floats(self, "base_rate", "peak_rate", "period", "mean_demand", "phase")
 
     def rate_at(self, t: float) -> float:
         swing = (self.peak_rate - self.base_rate) / 2.0
@@ -553,6 +556,7 @@ class ServerSpec:
             raise ValueError(f"server count must be >= 1, got {self.count}")
         if self.tolerance is not None:
             check_nonnegative("tolerance", self.tolerance)
+        store_floats(self, "period", "budget", "tolerance")
 
     @property
     def utilization(self) -> float:

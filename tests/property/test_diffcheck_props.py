@@ -1,17 +1,18 @@
-"""Property test: the incremental dispatcher is trace-equivalent to the
-baseline on hypothesis-drawn scenarios.
+"""Property test: the soa backend is trace-equivalent to the reference
+kernel, and every reference dispatch matches the per-level policies, on
+hypothesis-drawn scenarios.
 
 Complements the fixed randomized sweep in
-``tests/sim/test_dispatch_equivalence.py``: hypothesis explores the
+``tests/sim/test_backend_equivalence.py``: hypothesis explores the
 scenario space adaptively and shrinks any divergence to a minimal
 counterexample (a specific ``DiffScenario`` one can replay through
-``compare_dispatchers`` directly).
+``compare_backends`` directly).
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.diffcheck import DiffScenario, compare_dispatchers
+from repro.sim.diffcheck import DiffScenario, compare_backends
 
 
 @st.composite
@@ -44,8 +45,8 @@ def diff_scenarios(draw):
 
 @given(diff_scenarios())
 @settings(max_examples=25, deadline=None)
-def test_dispatchers_trace_equivalent(sc):
-    result = compare_dispatchers(sc)
+def test_backends_trace_equivalent(sc):
+    result = compare_backends(sc)
     assert result.equal, (
-        f"dispatchers diverged on [{', '.join(result.mismatched)}]: {sc.label()}"
+        f"backends diverged on [{', '.join(result.mismatched)}]: {sc.label()}"
     )

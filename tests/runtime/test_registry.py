@@ -7,7 +7,6 @@ from repro.runtime.registry import (
     MonitorKind,
     Registry,
     monitor_registry,
-    scheduler_registry,
 )
 from repro.runtime.spec import MonitorSpec
 from repro.sim.kernel import MC2Kernel
@@ -72,11 +71,6 @@ class TestBuiltinRegistrations:
     def test_builtin_monitor_kinds_present(self):
         for kind in ("simple", "adaptive", "stepped", "clamped", "none"):
             assert kind in monitor_registry
-
-    def test_builtin_scheduler_kinds_present(self):
-        for kind in ("table_driven", "pedf", "gel", "best_effort"):
-            assert kind in scheduler_registry
-            assert callable(scheduler_registry.get(kind))
 
     def test_unknown_monitor_kind_error_is_dynamic(self):
         with pytest.raises(ValueError) as exc:

@@ -212,6 +212,37 @@ class TestLeases:
         assert [alice, race["bob"]].count(True) == 1
         assert store.read_lease("s1")["owner"] == ("alice" if alice else "bob")
 
+    def test_two_owners_stealing_one_expired_lease_do_not_both_win(
+        self, grid, tmp_path, monkeypatch
+    ):
+        # Regression: alice and bob both find a dead owner's lease
+        # expired.  Bob ran a whole try_acquire while alice was between
+        # judging the lease expired and replacing it; alice then
+        # overwrote bob's lease and both returned True.
+        store = CampaignStore(tmp_path)
+        store.initialize(ShardedCampaign("sweep", grid, shard_size=2))
+        t = [1000.0]
+        assert store.try_acquire("s1", "corpse", lease_ttl=5.0, clock=lambda: t[0])
+        t[0] += 60.0  # the corpse never heartbeats again
+        race = {}
+        real_read = CampaignStore.read_lease
+
+        def read_lease(self, shard_id):
+            doc = real_read(self, shard_id)
+            if "bob" not in race and doc is not None and doc["owner"] == "corpse":
+                race["bob"] = None
+                race["bob"] = store.try_acquire(
+                    "s1", "bob", lease_ttl=5.0, clock=lambda: t[0]
+                )
+            return doc
+
+        monkeypatch.setattr(CampaignStore, "read_lease", read_lease)
+        alice = store.try_acquire("s1", "alice", lease_ttl=5.0, clock=lambda: t[0])
+        monkeypatch.undo()
+        assert race["bob"] is not None, "bob never raced alice"
+        assert [alice, race["bob"]].count(True) == 1
+        assert store.read_lease("s1")["owner"] == ("alice" if alice else "bob")
+
     def test_wall_clock_jump_does_not_steal_live_lease(
         self, grid, tmp_path, monkeypatch
     ):
@@ -535,3 +566,23 @@ class TestShardedBackend:
     def test_jobs_validation(self, tmp_path):
         with pytest.raises(ValueError, match="jobs"):
             ShardedBackend(tmp_path, jobs=0)
+
+    def test_int_valued_float_fields_reload_to_the_same_cells(self, tmp_path):
+        # Regression: the campaign manifest is reloaded through
+        # runspec_from_dict, whose float() turned horizon=2 into 2.0 and
+        # moved the reconstructed cell keys, so the run was refused.
+        specs = [
+            RunSpec(
+                taskset=TaskSetSpec.generated(2015, PARAMS),
+                scenario=ScenarioSpec(name="w", windows=((1, 2),)),
+                monitor=monitor,
+                horizon=2,
+            )
+            for monitor in (MonitorSpec("none"), MonitorSpec("simple", 1))
+        ]
+        assert ShardedBackend(tmp_path).run(specs) == SerialBackend().run(specs)
+
+    def test_fault_campaign_with_int_horizon(self, tmp_path):
+        cells = build_campaign(CampaignConfig(seed=3, cells=4, tasksets=1, horizon=3))
+        card, _, _ = run_sharded_campaign(cells, tmp_path)
+        assert card.to_json() == run_campaign(cells).to_json()

@@ -183,6 +183,31 @@ class TestCanonicalJson:
         assert back == spec
         assert spec_key(back) == spec_key(spec)
 
+    def test_int_fields_key_like_their_float_twins(self):
+        # The reader converts with float(), so a spec that kept its ints
+        # hashed "horizon":2 while its reloaded twin hashed 2.0.
+        cases = [
+            ({"horizon": 2, "confirm_window": 1}, {"horizon": 2.0, "confirm_window": 1.0}),
+            ({"monitor": MonitorSpec("simple", 1)}, {"monitor": MonitorSpec("simple", 1.0)}),
+            ({"monitor": MonitorSpec("stepped", 1, 2)},
+             {"monitor": MonitorSpec("stepped", 1.0, 2.0)}),
+            ({"kernel": KernelSpec(monitor_latency=0)},
+             {"kernel": KernelSpec(monitor_latency=0.0)}),
+            ({"scenario": ScenarioSpec(name="w", windows=((1, 2),))},
+             {"scenario": ScenarioSpec(name="w", windows=((1.0, 2.0),))}),
+        ]
+        for ints, floats in cases:
+            spec, twin = make_spec(**ints), make_spec(**floats)
+            assert spec.key() == twin.key(), ints
+            back = runspec_from_dict(runspec_to_dict(spec))
+            assert back == spec and back.key() == spec.key(), ints
+
+    def test_monitor_without_param_round_trips(self):
+        spec = make_spec(monitor=MonitorSpec("none", None))
+        back = runspec_from_dict(runspec_to_dict(spec))
+        assert back.monitor.param is None
+        assert back.key() == spec.key()
+
     def test_bad_header_rejected(self):
         doc = runspec_to_dict(make_spec())
         doc["format"] = "something-else"

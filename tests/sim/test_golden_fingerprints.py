@@ -7,7 +7,7 @@ monitor latency, zeroed demand, open-system traffic (Poisson/MMPP/
 diurnal server workloads), both platform sizes, virtual time on and
 off — each pinned to the sha256 of its full behavioural fingerprint
 (jobs, intervals, speed changes, preemptions, migrations, event counts,
-misses, episodes) under the default (incremental) dispatcher.
+misses, episodes) on both kernel backends.
 
 Any change to scheduler behaviour, event ordering, tie-breaking, or the
 fingerprint itself shows up as a digest mismatch naming the scenario.
@@ -25,7 +25,7 @@ import pathlib
 
 import pytest
 
-from repro.sim.diffcheck import DiffScenario, fingerprint_digest, run_dispatcher
+from repro.sim.diffcheck import DiffScenario, fingerprint_digest, run_backend
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "golden" / "fingerprints.json"
 REGEN = os.environ.get("REPRO_REGEN_GOLDEN") == "1"
@@ -106,7 +106,7 @@ CORPUS = [
 
 def compute_digests(backend: str = "reference") -> dict:
     return {
-        sc.label(): fingerprint_digest(run_dispatcher(sc, "incremental", backend))
+        sc.label(): fingerprint_digest(run_backend(sc, backend))
         for sc in CORPUS
     }
 

@@ -86,7 +86,7 @@ class TestBehaviouralNeutrality:
 
         def run(ratio):
             monkeypatch.setattr(repro.sim.kernel, "COMPACT_STALE_RATIO", ratio)
-            kernel, monitor = build_kernel(sc, "incremental", "reference")
+            kernel, monitor = build_kernel(sc, "reference")
             trace = kernel.run(sc.horizon)
             return fingerprint(trace, kernel, monitor)
 
@@ -102,7 +102,7 @@ class TestBehaviouralNeutrality:
         bound above is not vacuous)."""
         sc = DiffScenario(seed=401, m=2, behavior="LONG", monitor="adaptive",
                           monitor_arg=1.0, horizon=3.0)
-        kernel, _ = build_kernel(sc, "incremental", "reference")
+        kernel, _ = build_kernel(sc, "reference")
         calls = []
         orig = kernel._compact_release_timers
         monkeypatch.setattr(

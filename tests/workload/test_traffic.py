@@ -252,6 +252,27 @@ class TestCanonicalJson:
             assert back == spec
             assert back.canonical_json() == spec.canonical_json()
 
+    def test_int_fields_survive_a_round_trip(self):
+        # The reader converts with float(), so PoissonSource(rate=300)
+        # used to change its canonical JSON after one reload.
+        for source, twin in [
+            (PoissonSource(rate=300, mean_demand=1), PoissonSource(rate=300.0, mean_demand=1.0)),
+            (MMPPSource(rates=(60, 1200), dwells=(1, 1), mean_demand=1),
+             MMPPSource(rates=(60.0, 1200.0), dwells=(1.0, 1.0), mean_demand=1.0)),
+            (DiurnalCurveSource(base_rate=40, peak_rate=700, period=1, mean_demand=1),
+             DiurnalCurveSource(base_rate=40.0, peak_rate=700.0, period=1.0,
+                                mean_demand=1.0)),
+        ]:
+            spec = TrafficSpec(flows=(
+                TrafficFlow(source, ServerSpec(period=1, budget=1, tolerance=2)),
+            ))
+            twin_spec = TrafficSpec(flows=(
+                TrafficFlow(twin, ServerSpec(period=1.0, budget=1.0, tolerance=2.0)),
+            ))
+            assert spec.canonical_json() == twin_spec.canonical_json()
+            back = traffic_from_dict(json.loads(spec.canonical_json()))
+            assert back.canonical_json() == spec.canonical_json()
+
     def test_canonical_text_sorted_no_spaces(self):
         spec = TrafficSpec(flows=(
             TrafficFlow(PoissonSource(rate=10.0, mean_demand=0.001)),
