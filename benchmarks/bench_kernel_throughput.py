@@ -6,10 +6,12 @@ event loop; its gate is **>= 2x** the reference backend's events/sec on
 the 8-CPU cells.
 
 Both backends' trace fingerprints are checked for equality per cell, so
-a fast-but-wrong kernel cannot "win".  Repetitions are interleaved
-across backends (rep 1 of each, then rep 2, ...) so slow drift in
-machine load cancels out of the ratio instead of biasing whichever
-backend ran last.
+a fast-but-wrong kernel cannot "win".  Each repetition is a pair: one
+reference run and one soa run back to back, the order alternating from
+pair to pair.  A cell's speedup is the median of the per-pair
+reference/soa time ratios, so a load spike inside one pair moves one
+ratio and not the gate, and slow drift in machine load cancels within
+each pair instead of biasing whichever backend ran last.
 
 Standalone (CI runs this; artifacts are uploaded)::
 
@@ -30,8 +32,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import time
-from typing import Any, Dict, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.core.monitor import NullMonitor
 from repro.model.behavior import ConstantBehavior
@@ -123,18 +126,23 @@ def _measure_cell(
     n_level_c = sum(1 for t in ts if t.level is CriticalityLevel.C)
 
     prints: Dict[str, Any] = {}
-    best: Dict[str, int] = {}
+    elapsed: Dict[str, List[int]] = {backend: [] for backend in BACKENDS}
     events: Dict[str, int] = {}
     for backend in BACKENDS:  # warm-up
         _run_once(ts, backend, min(horizon, 0.25), tspec)
-    for _ in range(reps):  # interleaved: one rep of each backend per pass
-        for backend in BACKENDS:
+    for rep in range(reps):  # one pair per rep, alternating which runs first
+        for backend in BACKENDS if rep % 2 == 0 else BACKENDS[::-1]:
             elapsed_ns, kernel, trace, monitor = _run_once(ts, backend, horizon, tspec)
-            if backend not in best or elapsed_ns < best[backend]:
-                best[backend] = elapsed_ns
+            elapsed[backend].append(elapsed_ns)
             events[backend] = kernel.events_processed
             prints[backend] = fingerprint(trace, kernel, monitor)
-    rates = {backend: events[backend] / (best[backend] / 1e9) for backend in best}
+    median_ns = {backend: statistics.median(ns) for backend, ns in elapsed.items()}
+    rates = {backend: events[backend] / (median_ns[backend] / 1e9) for backend in BACKENDS}
+    # Equal fingerprints imply equal event counts, so each pair's time
+    # ratio is its throughput ratio.
+    speedup = statistics.median(
+        ref / soa for ref, soa in zip(elapsed["reference"], elapsed["soa"])
+    )
 
     # A fast backend that computes a different schedule is a bug, not a
     # win — this pins both to one behaviour.
@@ -152,7 +160,7 @@ def _measure_cell(
         "events": events["reference"],
         "reference_events_per_sec": rates["reference"],
         "soa_events_per_sec": rates["soa"],
-        "soa_speedup": rates["soa"] / rates["reference"],
+        "soa_speedup": speedup,
     }
 
 
@@ -245,7 +253,7 @@ def main(argv=None) -> int:
     ap.add_argument("--smoke", action="store_true",
                     help="fast CI mode: shorter horizon, fewer repetitions")
     ap.add_argument("--reps", type=int, default=None,
-                    help="timed repetitions per cell (default 3; smoke 2)")
+                    help="timed reference/soa pairs per cell (default 3; smoke 5)")
     ap.add_argument("--seed", type=int, default=2015)
     ap.add_argument("--out", metavar="FILE",
                     help="write the comparison as JSON to FILE")
@@ -254,7 +262,9 @@ def main(argv=None) -> int:
                          "BASELINE, or the soa 8-CPU gate is missed")
     args = ap.parse_args(argv)
 
-    reps = args.reps if args.reps is not None else (2 if args.smoke else 3)
+    # Smoke runs are short, so they time more pairs: the median of five
+    # per-pair ratios keeps one slow pair from failing the gate.
+    reps = args.reps if args.reps is not None else (5 if args.smoke else 3)
     horizon = 3.0 if args.smoke else 10.0
     doc = measure(seed=args.seed, horizon=horizon, reps=reps)
 

@@ -107,8 +107,13 @@ class CompletionReport:
 class SpeedController(Protocol):
     """The kernel-side system call the monitor uses (Sec. 4)."""
 
-    def change_speed(self, new_speed: float, now: float) -> None:
-        """Install a new virtual-clock speed at actual time *now*."""
+    def change_speed(self, new_speed: float) -> None:
+        """Install a new virtual-clock speed at the kernel's current time.
+
+        A system call takes no timestamp: the kernel reads its own clock
+        (Algorithm 1 line 14), so a report delivered late cannot
+        backdate the speed change.
+        """
         ...
 
 
@@ -152,7 +157,8 @@ class Monitor:
         self.episodes: List[RecoveryEpisode] = []
         #: Count of tolerance misses observed.
         self.miss_count: int = 0
-        #: (time, speed) pairs for every change_speed this monitor issued.
+        #: (detection time, speed) for every change_speed this monitor
+        #: issued; the kernel applies each at its own current time.
         self.speed_requests: List[Tuple[float, float]] = []
 
     # ------------------------------------------------------------------
@@ -235,10 +241,13 @@ class Monitor:
     # Internals / telemetry
     # ------------------------------------------------------------------
     def _change_speed(self, speed: float, now: float) -> None:
+        """Issue ``change_speed``; *now* is the instant the monitor
+        detected the need (recorded in ``speed_requests``), not the
+        instant the kernel applies it."""
         self.speed_requests.append((now, speed))
         if self.tracer.enabled:
             self.tracer.emit(EventName.MONITOR_SPEED, now, speed=speed)
-        self.controller.change_speed(speed, now)
+        self.controller.change_speed(speed)
 
     def _open_episode(self, report: CompletionReport) -> None:
         self.episodes.append(

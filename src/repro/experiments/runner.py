@@ -146,11 +146,6 @@ def run_overload_experiment(
     if fault_plane is not None:
         # Spikes wrap *outside* budget enforcement: an execution spike is
         # extra demand beyond the PWCETs, so budgets must not clip it.
-        if cfg.backend != "reference":
-            raise ValueError(
-                "fault injection hooks into MC2Kernel internals; "
-                f"backend {cfg.backend!r} does not support a fault plane"
-            )
         cfg = fault_plane.amend_config(cfg)
         behavior = fault_plane.wrap_behavior(behavior)
     kernel = create_kernel(ts, behavior=behavior, config=cfg, tracer=tracer, metrics=metrics)

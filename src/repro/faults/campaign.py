@@ -318,11 +318,13 @@ class CampaignConfig:
 def _grid(config: CampaignConfig) -> List[RunSpec]:
     """The underlying run-spec grid: seeds × scenarios × monitor panel.
 
-    ``record_intervals`` is always on — the GEL-v order oracle needs
-    the execution intervals.
+    Cells run on the ``soa`` kernel: the fault plane reaches either
+    backend through the same seam, and diffcheck holds the two to
+    identical fingerprints with faults injected.  ``record_intervals``
+    is always on — the GEL-v order oracle needs the execution intervals.
     """
     obs = ObsSpec(trace_dir=config.trace_dir)
-    kernel = KernelSpec(record_intervals=True)
+    kernel = KernelSpec(backend="soa", record_intervals=True)
     specs: List[RunSpec] = []
     for seed in taskset_seeds(config.tasksets, config.seed):
         for sc in standard_scenarios():

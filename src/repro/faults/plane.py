@@ -1,25 +1,32 @@
 """The fault plane: injects a :class:`~repro.faults.spec.FaultPlan`
-into one kernel run at the existing seams.
+into one kernel run through the public kernel seam.
 
-The kernel has **no** fault branches.  Every degradation rides an
-interface the simulator already exposes:
+The kernels have **no** fault branches, and the plane touches no
+kernel internals.  Every degradation rides the seam both backends
+implement (:mod:`repro.sim.backend`, "Kernel seam" in
+docs/architecture.md), so a faulted cell runs on ``reference`` and
+``soa`` alike:
 
 =====================  ============================================
 fault                  seam
 =====================  ============================================
 ``MonitorOutage``      ``kernel.monitor`` (the notification link) is
-                       wrapped by a window-gating proxy
+                       wrapped by a window-gating proxy before
+                       ``start()``; a queued backlog is flushed by a
+                       ``kernel.schedule_callback`` at the window end
 ``SpeedCommandDelay``  ``monitor.controller`` (the ``change_speed``
-``SpeedCommandDrop``   syscall path) is wrapped; delayed commands
-                       ride generic ``CALLBACK`` timer events
-``ClockSkew``          ``kernel.clock`` is swapped for a
-                       :class:`VirtualClock` subclass that jitters
-                       the virtual→actual direction
+``SpeedCommandDrop``   syscall path) is wrapped; windows are tested at
+                       ``kernel.now`` and delayed commands ride
+                       ``kernel.schedule_callback``
+``ClockSkew``          ``kernel.clock`` is swapped before ``start()``
+                       for a :class:`VirtualClock` subclass that
+                       jitters the virtual→actual direction
 ``ExecutionSpike``     the :class:`ExecutionBehavior` is wrapped
                        (outside budget enforcement — spikes are
                        demand *beyond* the PWCETs)
 ``ReleaseJitter``      ``KernelConfig.release_delay`` is composed
-``CpuStall``           a synthetic top-priority pinned level-A job
+``CpuStall``           ``kernel.inject_pinned_job`` releases a
+                       synthetic top-priority level-A job that
                        occupies the CPU for the stall window
 =====================  ============================================
 
@@ -54,15 +61,12 @@ from repro.faults.spec import (
     unit_rand,
 )
 from repro.model.behavior import ExecutionBehavior
-from repro.model.job import Job
 from repro.model.task import CriticalityLevel, Task
 from repro.obs.tracer import NULL_TRACER, EventName, Tracer
-from repro.sim.events import Event, EventKind
 from repro.sim.kernel import KernelConfig
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.monitor import CompletionReport, Monitor
-    from repro.sim.kernel import MC2Kernel
 
 __all__ = ["FAULT_TASK_BASE_ID", "FaultPlane"]
 
@@ -85,7 +89,8 @@ class FaultPlane:
     def __init__(self, plan: FaultPlan) -> None:
         self.plan = plan
         self._installed = False
-        self._kernel: Optional["MC2Kernel"] = None
+        #: The kernel, reached only through its public seam.
+        self._kernel: Any = None
         self._tracer: Tracer = NULL_TRACER
         self._outages: List[MonitorOutage] = []
         self._speed_faults: List[Any] = []  # delays + drops, plan order
@@ -165,11 +170,11 @@ class FaultPlane:
     # ------------------------------------------------------------------
     # Installation (after attach_monitor, before kernel.start())
     # ------------------------------------------------------------------
-    def install(self, kernel: "MC2Kernel", monitor: "Monitor") -> None:
-        """Attach the remaining interceptors to a built kernel."""
+    def install(self, kernel: Any, monitor: "Monitor") -> None:
+        """Attach the remaining interceptors to a built kernel (either backend)."""
         if self._installed:
             raise RuntimeError("a FaultPlane is single-use; build a new one per run")
-        if kernel._started:
+        if kernel.started:
             raise RuntimeError("FaultPlane.install must run before kernel.start()")
         self._installed = True
         self._kernel = kernel
@@ -188,9 +193,7 @@ class FaultPlane:
             kernel.monitor = gate
             for o in self._outages:
                 if o.mode == "queue":
-                    kernel.engine.push(
-                        Event(time=o.end, kind=EventKind.CALLBACK, payload=gate.flush)
-                    )
+                    kernel.schedule_callback(o.end, gate.flush)
 
         for i, st in enumerate(self._stalls):
             if st.cpu >= kernel.taskset.m:
@@ -205,23 +208,13 @@ class FaultPlane:
                 cpu=st.cpu,
                 name=f"stall-cpu{st.cpu}",
             )
-            kernel.engine.push(
-                Event(
-                    time=st.start,
-                    kind=EventKind.CALLBACK,
-                    payload=lambda now, st=st, task=task: self._begin_stall(st, task, now),
-                )
+            kernel.schedule_callback(
+                st.start, lambda now, st=st, task=task: self._begin_stall(st, task, now)
             )
 
     def _begin_stall(self, stall: CpuStall, task: Task, now: float) -> None:
-        """CALLBACK at the stall start: release the synthetic hog job."""
-        kernel = self._kernel
-        assert kernel is not None
-        job = Job(task=task, index=0, release=now, exec_time=stall.end - stall.start)
-        kernel.jobs_a[stall.cpu].append(job)
-        kernel._index_release(job)
-        if kernel._trace_on:
-            kernel._trace_release(job, now)
+        """Callback at the stall start: release the synthetic hog job."""
+        self._kernel.inject_pinned_job(task, stall.end - stall.start)
         self._emit(now, fault=CpuStall.kind, cpu=stall.cpu, until=stall.end)
 
     # ------------------------------------------------------------------
@@ -273,8 +266,9 @@ class _SpeedPath:
         self._plane = plane
         self._inner = inner
 
-    def change_speed(self, speed: float, now: float) -> None:
+    def change_speed(self, speed: float) -> None:
         plane = self._plane
+        now = plane._kernel.now
         for f in plane._speed_faults:
             if f.start <= now < f.end:
                 if isinstance(f, SpeedCommandDrop):
@@ -284,18 +278,13 @@ class _SpeedPath:
                     now, fault=SpeedCommandDelay.kind, speed=speed, delay=f.delay
                 )
                 inner = self._inner
-                assert plane._kernel is not None
-                plane._kernel.engine.push(
-                    Event(
-                        time=now + f.delay,
-                        kind=EventKind.CALLBACK,
-                        # Delivered late: the command takes effect at the
-                        # *callback's* time, not the issue time.
-                        payload=lambda t, s=speed: inner.change_speed(s, t),
-                    )
+                # Delivered late: the kernel applies the command at the
+                # callback's time, its clock then.
+                plane._kernel.schedule_callback(
+                    now + f.delay, lambda _t, s=speed: inner.change_speed(s)
                 )
                 return
-        self._inner.change_speed(speed, now)
+        self._inner.change_speed(speed)
 
 
 class _MonitorGate:
@@ -305,7 +294,7 @@ class _MonitorGate:
     calls ``on_job_release`` / ``on_job_complete`` directly; with
     latency they arrive via ``MONITOR_REPORT`` events — in either case
     through ``kernel.monitor``, i.e. this gate.  The window test uses
-    the *delivery* time (``engine.now``), matching the fault model: the
+    the *delivery* time (``kernel.now``), matching the fault model: the
     notification link is down, not the kernel event itself.
     """
 
@@ -322,8 +311,7 @@ class _MonitorGate:
 
     def on_job_release(self, jid: Tuple[int, int]) -> None:
         plane = self._plane
-        assert plane._kernel is not None
-        now = plane._kernel.engine.now
+        now = plane._kernel.now
         mode = self._mode(now)
         if mode is None:
             self._inner.on_job_release(jid)
@@ -337,8 +325,7 @@ class _MonitorGate:
 
     def on_job_complete(self, report: "CompletionReport") -> None:
         plane = self._plane
-        assert plane._kernel is not None
-        now = plane._kernel.engine.now
+        now = plane._kernel.now
         mode = self._mode(now)
         if mode is None:
             self._inner.on_job_complete(report)

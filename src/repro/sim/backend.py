@@ -15,12 +15,37 @@ this registry:
     diffcheck property suite and the golden-fingerprint corpus.
 
 Backends share one behavioural contract (see DESIGN.md "Kernel
-backends"): identical construction signature, and a uniform run surface
-— ``start`` / ``run_until`` / ``run`` / ``finish``, ``attach_monitor``,
-``change_speed``, ``now`` / ``events_processed`` / ``clock`` /
-``trace`` / ``monitor`` / ``preemptions`` / ``migrations``, and
-``pending_c_released_before``.  A third backend registers a builder
-with the same signature::
+backends"): identical construction signature, and a uniform surface:
+
+* run — ``start`` / ``run_until`` / ``run`` / ``finish``,
+  ``attach_monitor``;
+* observe — ``events_processed`` / ``trace`` / ``preemptions`` /
+  ``migrations`` / ``pending_c_released_before``;
+* the plug-in seam — ``started``, ``now``, ``change_speed(speed)``,
+  ``schedule_callback(t, fn)``, ``inject_pinned_job(task, exec_time)``,
+  the ``clock`` and ``monitor`` attributes, and the read-only
+  ``taskset`` and ``tracer``.
+
+Plug-ins (monitor, execution behaviour, traffic, fault plane) reach a
+kernel only through the seam, written as a rely/guarantee contract
+(docs/architecture.md "Kernel seam" has it per plug-in).  Every
+backend guarantees:
+
+* G1 — a system call reads the kernel's clock: ``change_speed(s)``
+  takes effect at ``now``, whenever the caller detected the need;
+* G2 — ``schedule_callback(t, fn)`` runs ``fn(t)`` at ``t`` in the
+  ``(time, kind, seq)`` event order (after the instant's releases,
+  completions and monitor reports), and a dispatch follows it;
+* G3 — a job from ``inject_pinned_job`` is released at ``now`` and
+  competes from that instant under the level-A order of its CPU;
+* G4 — ``clock`` and ``monitor`` are read through the attribute at
+  every use, so an object swapped in before ``start()`` sees every call.
+
+A plug-in relies on nothing else, and keeps its side: it swaps
+``clock`` / ``monitor`` only while ``started`` is false, schedules no
+callback before ``now``, and injects only what
+:func:`~repro.sim.kernel.check_pinned_job` accepts.  A third backend
+registers a builder with the same signature::
 
     from repro.sim.backend import kernel_backend_registry
     kernel_backend_registry.register("mine", _build_mine)

@@ -13,7 +13,9 @@ Every :func:`compare_backends` run makes two checks:
   must be **trace-equivalent** to the reference: run over the same
   scenario, both produce bit-identical job records, execution
   intervals, speed changes, preemption/migration counts, and event
-  counts.
+  counts.  A scenario may carry a :class:`~repro.faults.spec.FaultPlan`:
+  its plane is injected through the kernel seam on both backends, so
+  the same two checks cover faulted runs.
 
 This module
 
@@ -35,7 +37,7 @@ from __future__ import annotations
 import argparse
 import random
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.monitor import AdaptiveMonitor, Monitor, NullMonitor, SimpleMonitor
 from repro.model.behavior import (
@@ -57,6 +59,9 @@ from repro.sim.kernel import KernelConfig, MC2Kernel
 from repro.sim.trace import Trace
 from repro.workload.generator import GeneratorParams, generate_taskset
 from repro.workload.scenarios import DOUBLE, LONG, SHORT, OverloadScenario
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (faults -> diffcheck)
+    from repro.faults.spec import FaultPlan
 
 __all__ = [
     "DiffScenario",
@@ -179,12 +184,14 @@ class DiffScenario:
     level_d_tasks: int = 0
     #: Open-system traffic preset name ("" = none; see _traffic_presets).
     traffic: str = ""
+    #: Faults injected through the kernel seam (None = unfaulted run).
+    faults: Optional["FaultPlan"] = None
 
     def label(self) -> str:
         """Compact one-line description for failure reports.
 
-        The traffic field appends only when set, so every pre-traffic
-        scenario keeps its exact label (the golden-corpus key).
+        The traffic and fault fields append only when set, so every
+        earlier scenario keeps its exact label (the golden-corpus key).
         """
         base = (
             f"seed={self.seed} m={self.m} util={self.util_range} "
@@ -194,6 +201,9 @@ class DiffScenario:
         )
         if self.traffic:
             base += f" traffic={self.traffic}"
+        if self.faults is not None:
+            kinds = "+".join(f.kind for f in self.faults.faults)
+            base += f" faults={kinds}#{self.faults.key()[:8]}"
         return base
 
 
@@ -269,9 +279,18 @@ def build_kernel(sc: DiffScenario, backend: str) -> Tuple[MC2Kernel, Monitor]:
         monitor_latency=sc.monitor_latency,
         backend=backend,
     )
+    plane = None
+    if sc.faults is not None:
+        from repro.faults.plane import FaultPlane
+
+        plane = FaultPlane(sc.faults)
+        config = plane.amend_config(config)
+        behavior = plane.wrap_behavior(behavior)
     kernel = create_kernel(ts, behavior=behavior, config=config)
     monitor = _monitor_for(sc, kernel)
     kernel.attach_monitor(monitor)
+    if plane is not None:
+        plane.install(kernel, monitor)
     return kernel, monitor
 
 

@@ -60,6 +60,7 @@ __all__ = [
     "MC2Kernel",
     "simulate",
     "completion_eps",
+    "check_pinned_job",
     "COMPACT_STALE_RATIO",
 ]
 
@@ -92,6 +93,25 @@ def completion_eps(now: float) -> float:
     ``max(1e-9, now * 1e-15)``.
     """
     return max(_COMPLETION_EPS, now * _COMPLETION_REL_EPS)
+
+
+def check_pinned_job(taskset: TaskSet, task: Task, exec_time: float) -> None:
+    """Refuse an ``inject_pinned_job`` outside the seam's contract.
+
+    The task must be level A, pinned to one of the platform's CPUs, and
+    not one of *taskset*'s own tasks (its jobs would alias theirs in the
+    dispatch indexes); the job must have positive demand.
+    """
+    cpu = task.cpu
+    if task.level is not CriticalityLevel.A or cpu is None or not 0 <= cpu < taskset.m:
+        raise ValueError(
+            f"an injected job needs a level-A task pinned to a CPU below m={taskset.m}; "
+            f"got {task.label} (level {task.level.name}, cpu {task.cpu})"
+        )
+    if task.task_id in taskset:
+        raise ValueError(f"task id {task.task_id} belongs to the task set; inject a new task")
+    if not exec_time > 0.0:
+        raise ValueError(f"an injected job needs positive demand, got {exec_time}")
 
 
 @dataclass(frozen=True)
@@ -281,6 +301,8 @@ class MC2Kernel:
         self.preemptions: int = 0
         #: Times a job resumed on a different CPU than it last ran on.
         self.migrations: int = 0
+        #: Jobs injected so far per synthetic task (the next job index).
+        self._injected: Dict[int, int] = {}
         self._started = False
         self._finished = False
 
@@ -778,20 +800,53 @@ class MC2Kernel:
             self.monitor.on_job_complete(data)  # type: ignore[arg-type]
 
     # ------------------------------------------------------------------
+    # The plug-in seam (rely/guarantee contract: repro.sim.backend)
+    # ------------------------------------------------------------------
+    @property
+    def started(self) -> bool:
+        """Whether :meth:`start` ran; ``clock`` and ``monitor`` are fixed from then on."""
+        return self._started
+
+    def schedule_callback(self, t: float, fn: Callable[[float], None]) -> None:
+        """Call ``fn(t)`` at time *t* (a ``CALLBACK`` event); a dispatch follows it."""
+        self.engine.push(Event(time=t, kind=EventKind.CALLBACK, payload=fn))
+
+    def inject_pinned_job(self, task: Task, exec_time: float) -> None:
+        """Release a job of the synthetic level-A *task* at the current time.
+
+        The job competes from this instant under the level-A RM order,
+        like a timer-driven release (see :func:`check_pinned_job`).
+        """
+        check_pinned_job(self.taskset, task, exec_time)
+        now = self.engine.now
+        index = self._injected.get(task.task_id, 0)
+        self._injected[task.task_id] = index + 1
+        job = Job(task=task, index=index, release=now, exec_time=exec_time)
+        self.jobs_a[task.cpu].append(job)  # type: ignore[index]
+        self._index_release(job)
+        if self._trace_on:
+            self._trace_release(job, now)
+
+    # ------------------------------------------------------------------
     # The change_speed system call (Algorithm 1 lines 14-22)
     # ------------------------------------------------------------------
-    def change_speed(self, new_speed: float, now: float) -> None:
-        """Install a new virtual-clock speed; called by the monitor."""
+    def change_speed(self, new_speed: float) -> None:
+        """Install a new virtual-clock speed now; called by the monitor.
+
+        The system call reads the kernel's clock (Algorithm 1 line 14):
+        a report delivered late changes the speed when it arrives.
+        """
         if not self.config.use_virtual_time:
             raise RuntimeError("change_speed requires use_virtual_time=True")
         if self.config.measure_overhead:
             with self.spans.span("change_speed"):
-                self._change_speed(new_speed, now)
+                self._change_speed(new_speed)
         else:
-            self._change_speed(new_speed, now)
+            self._change_speed(new_speed)
 
-    def _change_speed(self, new_speed: float, now: float) -> None:
+    def _change_speed(self, new_speed: float) -> None:
         assert isinstance(self.clock, VirtualClock)
+        now = self.engine.now
         virt = self.clock.act_to_virt(now)  # lines 14-15
         for job in self.jobs_c:  # lines 16-17
             if job.actual_pp is None and job.virtual_pp is not None and job.virtual_pp < virt:

@@ -51,14 +51,14 @@ from repro.core.monitor import CompletionReport, Monitor, NullMonitor
 from repro.core.svo import ReleaseController
 from repro.core.virtual_time import VirtualClock
 from repro.model.behavior import ConstantBehavior, ExecutionBehavior
-from repro.model.task import CriticalityLevel
+from repro.model.task import CriticalityLevel, Task
 from repro.model.taskset import TaskSet
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import SpanTimer
 from repro.obs.telemetry import PHASE_PROFILER, PHASE_SAMPLE_MASK
 from repro.obs.tracer import NULL_TRACER, EventName, Tracer
 from repro.sim import kernel as _kernel_mod
-from repro.sim.kernel import KernelConfig, _IdentityClock
+from repro.sim.kernel import KernelConfig, _IdentityClock, check_pinned_job
 from repro.sim.trace import Trace
 
 __all__ = ["SoAKernel"]
@@ -197,6 +197,8 @@ class SoAKernel:
         self._stale_releases = 0
 
         self._report_buffer: List[int] = []
+        #: Jobs injected so far per synthetic task (the next job index).
+        self._injected: Dict[int, int] = {}
         self.preemptions = 0
         self.migrations = 0
         self.events_processed = 0
@@ -787,21 +789,69 @@ class SoAKernel:
                 self.monitor.on_job_complete(report)
 
     # ------------------------------------------------------------------
+    # The plug-in seam (rely/guarantee contract: repro.sim.backend)
+    # ------------------------------------------------------------------
+    @property
+    def started(self) -> bool:
+        """Whether :meth:`start` ran; ``clock`` and ``monitor`` are fixed from then on."""
+        return self._started
+
+    def schedule_callback(self, t: float, fn: Callable[[float], None]) -> None:
+        """Call ``fn(t)`` at time *t* (a ``CALLBACK`` event); a dispatch follows it."""
+        self._push_event(t, _CALLBACK, -1, 0, fn, self._now)
+
+    def inject_pinned_job(self, task: Task, exec_time: float) -> None:
+        """Release a job of the synthetic level-A *task* now (MC2Kernel.inject_pinned_job).
+
+        The task joins the per-task columns, the job takes a slot, and
+        its CPU's A/B pick is marked stale so the next dispatch rescans it.
+        """
+        check_pinned_job(self.taskset, task, exec_time)
+        tid = task.task_id
+        cpu = task.cpu
+        assert cpu is not None
+        now = self._now
+        index = self._injected.get(tid, 0)
+        self._injected[tid] = index + 1
+        self._task_of[tid] = task
+        self._level_of[tid] = task.level
+        self._level_code[tid] = 0
+        self._cpu_of[tid] = cpu
+        self._period_of[tid] = task.period
+        js = len(self.j_tid)
+        for column, value in (
+            (self.j_tid, tid), (self.j_idx, index), (self.j_rel, now),
+            (self.j_exec, exec_time), (self.j_rem, exec_time), (self.j_vrel, None),
+            (self.j_vpp, None), (self.j_app, None), (self.j_comp, None),
+            (self.j_run, -1), (self.j_last, -1), (self.j_gen, 0),
+        ):
+            column.append(value)
+        self.jobs_a[cpu].append(js)
+        heapq.heappush(self._heap_a[cpu], (task.period, tid, index, js))
+        if not self._ab_stale[cpu]:
+            self._ab_stale[cpu] = True
+            self._ab_stale_cpus.append(cpu)
+        self._dirty = True
+        if self._trace_on:
+            self._trace_release(tid, index, exec_time, None, None, now)
+
+    # ------------------------------------------------------------------
     # The change_speed system call (Algorithm 1 lines 14-22)
     # ------------------------------------------------------------------
-    def change_speed(self, new_speed: float, now: float) -> None:
-        """Install a new virtual-clock speed; called by the monitor."""
+    def change_speed(self, new_speed: float) -> None:
+        """Install a new virtual-clock speed now (see MC2Kernel.change_speed)."""
         if not self.config.use_virtual_time:
             raise RuntimeError("change_speed requires use_virtual_time=True")
         if self._measure:
             with self.spans.span("change_speed"):
-                self._change_speed(new_speed, now)
+                self._change_speed(new_speed)
         else:
-            self._change_speed(new_speed, now)
+            self._change_speed(new_speed)
 
-    def _change_speed(self, new_speed: float, now: float) -> None:
+    def _change_speed(self, new_speed: float) -> None:
         clock = self.clock
         assert isinstance(clock, VirtualClock)
+        now = self._now
         virt = clock.act_to_virt(now)  # lines 14-15
         j_app = self.j_app
         j_vpp = self.j_vpp
@@ -813,18 +863,15 @@ class SoAKernel:
         self.trace.record_speed_change(now, new_speed)
         if self._trace_on:
             self.tracer.emit(EventName.SPEED_CHANGE, now, speed=new_speed)
-        # Lines 21-22: re-arm every pending level-C release timer.  The
-        # guard time is the kernel's current time, matching the
-        # reference engine's push guard.  Rare path, so the phase
-        # profile times every re-arm pass in full.
+        # Lines 21-22: re-arm every pending level-C release timer.  Rare
+        # path, so the phase profile times every re-arm pass in full.
         t0 = perf_counter_ns() if self._phase_on else 0
         stale_before = self._stale_releases
-        guard_now = self._now
         for t in self.taskset.level(CriticalityLevel.C):
             tid = t.task_id
             self._release_gen[tid] += 1
             nxt = self.controllers[tid].next_release_actual(clock, now)
-            self._push_event(nxt, _RELEASE, tid, self._release_gen[tid], None, guard_now)
+            self._push_event(nxt, _RELEASE, tid, self._release_gen[tid], None, now)
             self._stale_releases += 1
         if self._phase_on:
             self._ph_rearm_ns += perf_counter_ns() - t0

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy import stats as _sps
 
 __all__ = ["ConfidenceInterval", "mean_ci", "summarize", "Summary"]
 
@@ -88,7 +87,11 @@ def mean_ci(samples: Iterable[float], confidence: float = 0.95) -> ConfidenceInt
     sem = float(np.std(xs, ddof=1)) / math.sqrt(xs.size)
     if sem == 0.0:
         return ConfidenceInterval(mean=m, half_width=0.0, confidence=confidence, n=int(xs.size))
-    tcrit = float(_sps.t.ppf((1.0 + confidence) / 2.0, df=xs.size - 1))
+    # Imported here, not at module level: scipy.stats costs about a
+    # second of import time, and only figure rendering needs it.
+    from scipy import stats
+
+    tcrit = float(stats.t.ppf((1.0 + confidence) / 2.0, df=xs.size - 1))
     return ConfidenceInterval(
         mean=m, half_width=tcrit * sem, confidence=confidence, n=int(xs.size)
     )

@@ -17,13 +17,14 @@ from tests.conftest import make_c_task
 
 
 class FakeController:
-    """Records change_speed calls."""
+    """Records the speeds of change_speed calls; their instants are in
+    ``Monitor.speed_requests``."""
 
     def __init__(self):
-        self.calls = []
+        self.speeds = []
 
-    def change_speed(self, new_speed, now):
-        self.calls.append((now, new_speed))
+    def change_speed(self, new_speed):
+        self.speeds.append(new_speed)
 
 
 def report(task, k=0, release=0.0, pp=None, comp=1.0, queue_empty=False):
@@ -76,19 +77,19 @@ class TestSimpleMonitor:
         mon = SimpleMonitor(ctl, s=0.5)
         mon.on_job_release((0, 0))
         mon.on_job_complete(report(task, pp=3.0, comp=6.0))
-        assert ctl.calls == [(6.0, 0.5)]
+        assert mon.speed_requests == [(6.0, 0.5)]
         assert mon.recovery_mode
         # A second miss while already recovering does not change speed again.
         mon.on_job_release((0, 1))
         mon.on_job_complete(report(task, k=1, release=4.0, pp=7.0, comp=10.0))
-        assert ctl.calls == [(6.0, 0.5)]
+        assert mon.speed_requests == [(6.0, 0.5)]
 
     def test_meeting_jobs_do_not_trigger(self, task):
         ctl = FakeController()
         mon = SimpleMonitor(ctl, s=0.5)
         mon.on_job_release((0, 0))
         mon.on_job_complete(report(task, pp=3.0, comp=5.0))
-        assert ctl.calls == []
+        assert mon.speed_requests == []
         assert not mon.recovery_mode
 
     def test_recovery_exits_at_idle_normal_instant(self, task, task2):
@@ -107,7 +108,7 @@ class TestSimpleMonitor:
         # The candidate job completes within tolerance: recovery ends.
         mon.on_job_complete(report(task2, pp=5.0, comp=7.0, queue_empty=False))
         assert not mon.recovery_mode
-        assert ctl.calls[-1] == (7.0, 1.0)
+        assert mon.speed_requests[-1] == (7.0, 1.0)
         assert mon.episodes[-1].end == 7.0
 
     def test_candidate_discarded_on_later_miss(self, task, task2):
@@ -135,7 +136,7 @@ class TestSimpleMonitor:
         mon.on_job_complete(report(task2, pp=9.0, comp=10.0, queue_empty=True))
         # New candidate at 10; pend_now empty => exit immediately.
         assert not mon.recovery_mode
-        assert ctl.calls[-1] == (10.0, 1.0)
+        assert mon.speed_requests[-1] == (10.0, 1.0)
 
     def test_miss_with_empty_system_recovers_immediately(self, task):
         """Miss with empty queue and nothing pending: instant exit."""
@@ -144,7 +145,8 @@ class TestSimpleMonitor:
         mon.on_job_release((0, 0))
         mon.on_job_complete(report(task, pp=3.0, comp=6.0, queue_empty=True))
         assert not mon.recovery_mode
-        assert ctl.calls == [(6.0, 0.5), (6.0, 1.0)]
+        assert mon.speed_requests == [(6.0, 0.5), (6.0, 1.0)]
+        assert ctl.speeds == [0.5, 1.0]
         ep = mon.episodes[-1]
         assert ep.start == 6.0 and ep.end == 6.0
 
@@ -182,7 +184,7 @@ class TestAdaptiveMonitor:
         mon.on_job_release((0, 0))
         # R = 10, Y + xi = 5 => s = 0.8 * 0.5 = 0.4
         mon.on_job_complete(report(task, release=0.0, pp=3.0, comp=10.0))
-        assert ctl.calls == [(10.0, pytest.approx(0.4))]
+        assert mon.speed_requests == [(10.0, pytest.approx(0.4))]
         assert mon.current_speed == pytest.approx(0.4)
 
     def test_only_ratchets_downward(self, task):
@@ -193,11 +195,11 @@ class TestAdaptiveMonitor:
         mon.on_job_complete(report(task, k=0, release=0.0, pp=3.0, comp=10.0))
         # Second miss with a *smaller* normalized response: no change.
         mon.on_job_complete(report(task, k=1, release=4.0, pp=7.0, comp=13.0))
-        assert len(ctl.calls) == 1
+        assert len(mon.speed_requests) == 1
         # Third miss with larger response: ratchets down.
         mon.on_job_release((0, 2))
         mon.on_job_complete(report(task, k=2, release=8.0, pp=11.0, comp=28.0))
-        assert ctl.calls[-1][1] == pytest.approx(0.8 * 5.0 / 20.0)
+        assert mon.speed_requests[-1][1] == pytest.approx(0.8 * 5.0 / 20.0)
 
     def test_speed_resets_per_episode(self, task):
         ctl = FakeController()
@@ -213,7 +215,7 @@ class TestAdaptiveMonitor:
         mon.on_job_complete(
             report(task, k=1, release=20.0, pp=23.0, comp=26.0, queue_empty=True)
         )
-        slow = [s for _, s in ctl.calls if s < 1.0]
+        slow = [s for _, s in mon.speed_requests if s < 1.0]
         assert len(slow) == 2
         assert slow[1] == pytest.approx(0.8 * 5.0 / 6.0)
 
@@ -231,7 +233,7 @@ class TestNullMonitor:
         mon = NullMonitor(ctl)
         mon.on_job_release((0, 0))
         mon.on_job_complete(report(task, pp=3.0, comp=50.0))
-        assert ctl.calls == []
+        assert mon.speed_requests == []
         assert not mon.recovery_mode
         assert mon.miss_count == 1
 

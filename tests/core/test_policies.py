@@ -8,11 +8,13 @@ from tests.conftest import make_c_task
 
 
 class FakeCtl:
-    def __init__(self):
-        self.calls = []
+    """Records speeds; the instants are in ``Monitor.speed_requests``."""
 
-    def change_speed(self, s, now):
-        self.calls.append((now, s))
+    def __init__(self):
+        self.speeds = []
+
+    def change_speed(self, s):
+        self.speeds.append(s)
 
 
 def report(task, k=0, release=0.0, pp=None, comp=1.0, queue_empty=False):
@@ -39,7 +41,7 @@ class TestClampedAdaptive:
         mon.on_job_release((0, 0))
         # Unclamped ADAPTIVE would choose 0.8 * 5 / 100 = 0.04.
         mon.on_job_complete(report(task, release=0.0, pp=3.0, comp=100.0))
-        assert ctl.calls == [(100.0, pytest.approx(0.3))]
+        assert mon.speed_requests == [(100.0, pytest.approx(0.3))]
 
     def test_behaves_like_adaptive_above_floor(self, task):
         ctl = FakeCtl()
@@ -47,7 +49,7 @@ class TestClampedAdaptive:
         mon.on_job_release((0, 0))
         # 0.8 * 5 / 10 = 0.4 > floor.
         mon.on_job_complete(report(task, release=0.0, pp=3.0, comp=10.0))
-        assert ctl.calls == [(10.0, pytest.approx(0.4))]
+        assert mon.speed_requests == [(10.0, pytest.approx(0.4))]
 
     def test_zero_floor_is_plain_adaptive(self, task):
         from repro.core.monitor import AdaptiveMonitor
@@ -58,7 +60,7 @@ class TestClampedAdaptive:
         for mon in (plain, clamped):
             mon.on_job_release((0, 0))
             mon.on_job_complete(report(task, release=0.0, pp=3.0, comp=25.0))
-        assert ctl_a.calls == ctl_c.calls
+        assert plain.speed_requests == clamped.speed_requests
 
     def test_ratchets_down_only(self, task):
         ctl = FakeCtl()
@@ -67,7 +69,7 @@ class TestClampedAdaptive:
             mon.on_job_release((0, k))
             mon.on_job_complete(report(task, k=k, release=comp - 10.0,
                                        pp=comp - 7.0, comp=comp))
-        assert len(ctl.calls) == 1  # second (milder) miss: no change
+        assert len(mon.speed_requests) == 1  # second (milder) miss: no change
 
 
 class TestSteppedRestore:
@@ -84,7 +86,8 @@ class TestSteppedRestore:
         mon.on_job_release((0, 0))
         mon.on_job_complete(report(task, pp=3.0, comp=6.0, queue_empty=True))
         # miss -> slow to 0.6; empty system -> exit straight to 1.
-        assert ctl.calls == [(6.0, 0.6), (6.0, 1.0)]
+        assert mon.speed_requests == [(6.0, 0.6), (6.0, 1.0)]
+        assert ctl.speeds == [0.6, 1.0]
         assert not mon.recovery_mode
         assert mon.episodes[-1].end == 6.0
 
@@ -97,14 +100,14 @@ class TestSteppedRestore:
         mon.on_job_complete(report(task, k=0, pp=3.0, comp=6.0, queue_empty=True))
         # Slowed to 0.25, exit found immediately -> plateau 0.5 installed,
         # still in recovery awaiting verification at 0.5.
-        assert [s for _, s in ctl.calls] == [0.25, 0.5]
+        assert [s for _, s in mon.speed_requests] == [0.25, 0.5]
         assert mon.recovery_mode
         assert mon.current_speed == 0.5
         # The next tolerant completion verifies the plateau: full speed.
         mon.on_job_release((0, 1))
         mon.on_job_complete(report(task, k=1, release=10.0, pp=13.0, comp=14.0,
                                    queue_empty=True))
-        assert [s for _, s in ctl.calls] == [0.25, 0.5, 1.0]
+        assert [s for _, s in mon.speed_requests] == [0.25, 0.5, 1.0]
         assert not mon.recovery_mode
 
     def test_episode_stays_open_until_full_speed(self, task):
@@ -129,7 +132,7 @@ class TestSteppedRestore:
                                    queue_empty=True))
         assert not mon.recovery_mode
         assert mon.episodes[-1].end == 14.0
-        assert [s for _, s in ctl.calls] == [0.25, 0.5, 1.0]
+        assert [s for _, s in mon.speed_requests] == [0.25, 0.5, 1.0]
 
     def test_new_miss_during_plateau_does_not_reslow(self, task):
         """Within one episode the plateau holds; handle_miss only acts
@@ -142,7 +145,7 @@ class TestSteppedRestore:
         assert mon.recovery_mode
         mon.on_job_complete(report(task, k=1, release=4.0, pp=7.0, comp=12.0,
                                    queue_empty=False))
-        assert [s for _, s in ctl.calls] == [0.25]
+        assert [s for _, s in mon.speed_requests] == [0.25]
 
 
 class TestPoliciesEndToEnd:

@@ -7,7 +7,7 @@ from repro.experiments.metrics import RunResult, dissipation_time
 
 
 class FakeCtl:
-    def change_speed(self, s, now):
+    def change_speed(self, s):
         pass
 
 

@@ -9,7 +9,7 @@ from dataclasses import replace
 import pytest
 
 from repro.experiments.runner import run_overload_experiment
-from repro.faults.campaign import run_cell
+from repro.faults.campaign import CampaignConfig, build_campaign, run_cell
 from repro.faults.plane import FAULT_TASK_BASE_ID, FaultPlane
 from repro.faults.spec import (
     ClockSkew,
@@ -130,6 +130,23 @@ class TestMonitorOutage:
         # and differs from the baseline (notifications arrived late).
         assert outcome.sim_end > 0
         assert outcome.fingerprint != _digest(baseline)
+
+    @pytest.mark.parametrize("backend", ["reference", "soa"])
+    def test_flushed_backlog_changes_speed_at_delivery(self, backend):
+        """A restore detected inside a queued outage takes effect when the
+        backlog is delivered at the window end.  Backdating it to the
+        completion instant re-armed level-C releases in the past, and the
+        kernel raised ``cannot schedule RELEASE``."""
+        cell = build_campaign(CampaignConfig(seed=5, cells=6, tasksets=2))[1]
+        (outage,) = [f for f in cell.plan.faults if isinstance(f, MonitorOutage)]
+        assert outage.mode == "queue"
+        spec = replace(cell.run, kernel=replace(cell.run.kernel, backend=backend))
+        out = _run(spec.taskset.materialize(), spec, FaultPlane(cell.plan))
+        detected, speed = out.monitor.speed_requests[1]
+        assert outage.start <= detected < outage.end and speed == 1.0
+        assert out.monitor.episodes[0].end == detected
+        assert out.trace.speed_changes[1] == (outage.end, 1.0)
+        assert out.result.episodes == 2
 
 
 class TestSpeedCommandDrop:

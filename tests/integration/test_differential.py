@@ -31,7 +31,7 @@ def run_kernel(tasks, m, behavior, speed_changes):
     kernel.start()
     for t_change, s in speed_changes:
         kernel.run_until(t_change)
-        kernel.change_speed(s, kernel.engine.now)
+        kernel.change_speed(s)
     kernel.run_until(HORIZON)
     return kernel.finish()
 

@@ -102,7 +102,7 @@ def test_virtual_time_consistency_over_many_speed_changes():
     speeds = [0.5, 0.25, 0.75, 1.0]
     for i in range(200):
         kernel.run_until(t)
-        kernel.change_speed(speeds[i % len(speeds)], kernel.engine.now)
+        kernel.change_speed(speeds[i % len(speeds)])
         t += 1.0
     kernel.run_until(t + 5.0)
     kernel.finish()

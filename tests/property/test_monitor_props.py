@@ -71,11 +71,13 @@ def timelines(draw):
 
 
 class Recorder:
-    def __init__(self):
-        self.calls = []
+    """Records speeds; the instants are in ``Monitor.speed_requests``."""
 
-    def change_speed(self, s, now):
-        self.calls.append((now, s))
+    def __init__(self):
+        self.speeds = []
+
+    def change_speed(self, s):
+        self.speeds.append(s)
 
 
 def replay(jobs):
@@ -138,7 +140,8 @@ def test_theorem1_exits_only_at_idle_normal_instants(jobs):
 @settings(max_examples=300)
 def test_slowdowns_only_on_genuine_misses(jobs):
     mon, ctl, _ = replay(jobs)
-    slowdowns = [c for c in ctl.calls if c[1] < 1.0]
+    assert ctl.speeds == [s for _, s in mon.speed_requests]
+    slowdowns = [c for c in mon.speed_requests if c[1] < 1.0]
     any_miss = any(not j.meets for j in jobs)
     if not any_miss:
         assert slowdowns == []
@@ -149,9 +152,9 @@ def test_slowdowns_only_on_genuine_misses(jobs):
 @given(timelines())
 @settings(max_examples=300)
 def test_every_restore_follows_a_slowdown(jobs):
-    _, ctl, _ = replay(jobs)
+    mon, _, _ = replay(jobs)
     depth = 0
-    for _, s in ctl.calls:
+    for _, s in mon.speed_requests:
         if s < 1.0:
             depth += 1
         else:

@@ -67,7 +67,7 @@ def simulate_system(system):
     kernel.start()
     for t_change, s in speed_changes:
         kernel.run_until(t_change)
-        kernel.change_speed(s, kernel.engine.now)
+        kernel.change_speed(s)
     kernel.run_until(HORIZON)
     trace = kernel.finish()
     return ts, trace

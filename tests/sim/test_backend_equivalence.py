@@ -9,16 +9,19 @@ dispatches checked against the per-level policies
 (:func:`repro.sim.diffcheck.check_dispatches`).  These tests compare
 the backends over hand-built task sets, hand-picked and 200 randomized
 :class:`~repro.sim.diffcheck.DiffScenario` cases
-(:func:`repro.sim.diffcheck.compare_backends`), show that the dispatch
+(:func:`repro.sim.diffcheck.compare_backends`), randomized cases with
+fault plans injected through the kernel seam, show that the dispatch
 check fires, and pin the cache-key separation that keeps backends
 honest in the result cache.
 """
 
+from dataclasses import replace
 from operator import attrgetter
 
 import pytest
 
 from repro.core.monitor import NullMonitor, SimpleMonitor
+from repro.faults.spec import random_plan
 from repro.model.behavior import ConstantBehavior, TraceBehavior
 from repro.model.task import CriticalityLevel as L
 from repro.model.task import Task
@@ -38,8 +41,11 @@ from repro.sim.diffcheck import (
 )
 from repro.sim.kernel import KernelConfig, MC2Kernel
 from repro.sim.soa import SoAKernel
-from repro.workload.scenarios import SHORT
+from repro.workload.scenarios import DOUBLE, LONG, SHORT
 from tests.conftest import make_a_task, make_b_task, make_c_task
+
+#: Each overload scenario's last window end: where random fault plans bite.
+_END = {s.name: s.last_overload_end for s in (SHORT, LONG, DOUBLE)}
 
 
 def fingerprints(make_taskset, behavior_factory, horizon, monitor=None, **cfg):
@@ -277,6 +283,23 @@ class TestRandomizedSweep:
         assert any(s.monitor_latency > 0 for s in scenarios)
         assert any(not s.use_virtual_time for s in scenarios)
         assert any(s.m == 8 for s in scenarios)
+
+    def test_faulted_scenarios_trace_equivalent(self):
+        """Grid scenarios with a random fault plan, injected through the
+        kernel seam on both backends (clock skew needs virtual time, so
+        the baseline-mode scenarios are left out)."""
+        scenarios = [
+            replace(
+                sc,
+                faults=random_plan(
+                    seed=i, m=sc.m, anchor=_END.get(sc.behavior, 1.0), horizon=sc.horizon
+                ),
+            )
+            for i, sc in enumerate(random_scenarios(30, base_seed=16))
+            if sc.use_virtual_time
+        ]
+        assert any(sc.level_d_tasks for sc in scenarios)
+        assert_sweep_equivalent(scenarios, len(scenarios))
 
     def test_compare_reports_mismatch_fields(self):
         """A genuinely different pair of runs is reported, not masked."""

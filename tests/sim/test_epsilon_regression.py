@@ -105,9 +105,9 @@ class TestKernelAtLargePhases:
         phase = 1e8
         kernel = MC2Kernel(awkward_taskset(phase), behavior=ConstantBehavior())
         kernel.run_until(phase + 5.0)
-        kernel.change_speed(0.5, kernel.engine.now)
+        kernel.change_speed(0.5)
         kernel.run_until(phase + 10.0)
-        kernel.change_speed(1.0, kernel.engine.now)
+        kernel.change_speed(1.0)
         trace = kernel.run(phase + 15.0)
         assert [s for _, s in trace.speed_changes] == [0.5, 1.0]
         done = [r for r in trace.jobs if r.completion is not None]

@@ -1,12 +1,13 @@
 """Golden-fingerprint regression corpus for the simulator.
 
-30 fixed :class:`~repro.sim.diffcheck.DiffScenario` cases spanning the
+40 fixed :class:`~repro.sim.diffcheck.DiffScenario` cases spanning the
 interesting axes — the three paper overloads under SIMPLE and ADAPTIVE
 recovery, steady state, sustained overrun, level-D background load,
 monitor latency, zeroed demand, open-system traffic (Poisson/MMPP/
 diurnal server workloads), both platform sizes, virtual time on and
-off — each pinned to the sha256 of its full behavioural fingerprint
-(jobs, intervals, speed changes, preemptions, migrations, event counts,
+off, and every fault kind injected through the kernel seam — each
+pinned to the sha256 of its full behavioural fingerprint (jobs,
+intervals, speed changes, preemptions, migrations, event counts,
 misses, episodes) on both kernel backends.
 
 Any change to scheduler behaviour, event ordering, tie-breaking, or the
@@ -25,6 +26,17 @@ import pathlib
 
 import pytest
 
+from repro.faults.spec import (
+    ClockSkew,
+    CpuStall,
+    ExecutionSpike,
+    FaultPlan,
+    MonitorOutage,
+    ReleaseJitter,
+    SpeedCommandDelay,
+    SpeedCommandDrop,
+    random_plan,
+)
 from repro.sim.diffcheck import DiffScenario, fingerprint_digest, run_backend
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "golden" / "fingerprints.json"
@@ -101,6 +113,40 @@ CORPUS = [
     DiffScenario(seed=130, m=2, behavior="overrun", monitor="adaptive",
                  monitor_arg=0.5, zero_every=3, level_d_tasks=2,
                  traffic="poisson"),
+    # Faults injected through the kernel seam: every kind once, queued
+    # outages that flush a miss after the window (one with latency),
+    # then a random multi-fault plan over level-D load and zero demand.
+    DiffScenario(seed=131, m=2, behavior="SHORT", monitor="simple",
+                 monitor_arg=0.5,
+                 faults=FaultPlan((MonitorOutage(0.4, 0.8, mode="drop"),), seed=7)),
+    DiffScenario(seed=132, m=2, behavior="LONG", monitor="adaptive",
+                 monitor_arg=0.5,
+                 faults=FaultPlan((MonitorOutage(0.8, 1.2, mode="queue"),), seed=7)),
+    DiffScenario(seed=133, m=2, behavior="SHORT", monitor="simple",
+                 monitor_arg=0.5, monitor_latency=0.001,
+                 faults=FaultPlan((MonitorOutage(0.4, 0.8, mode="queue"),), seed=7)),
+    DiffScenario(seed=134, m=2, behavior="SHORT", monitor="adaptive",
+                 monitor_arg=0.5,
+                 faults=FaultPlan((SpeedCommandDelay(0.0, 1.5, delay=0.1),), seed=7)),
+    DiffScenario(seed=135, m=2, behavior="SHORT", monitor="simple",
+                 monitor_arg=0.5,
+                 faults=FaultPlan((SpeedCommandDrop(0.5, 1.5),), seed=7)),
+    DiffScenario(seed=136, m=2, behavior="LONG", monitor="simple",
+                 monitor_arg=0.5,
+                 faults=FaultPlan((ClockSkew(0.5, 1.5, magnitude=0.02),), seed=7)),
+    DiffScenario(seed=137, m=2, behavior="SHORT", monitor="adaptive",
+                 monitor_arg=0.5,
+                 faults=FaultPlan((ExecutionSpike(0.5, 1.0, factor=2.0, prob=0.5),),
+                                  seed=7)),
+    DiffScenario(seed=138, m=2, behavior="DOUBLE", monitor="simple",
+                 monitor_arg=0.5,
+                 faults=FaultPlan((ReleaseJitter(0.3, 1.2, magnitude=0.01),), seed=7)),
+    DiffScenario(seed=139, m=4, behavior="SHORT", monitor="simple",
+                 monitor_arg=0.5,
+                 faults=FaultPlan((CpuStall(cpu=1, start=0.4, end=0.7),), seed=7)),
+    DiffScenario(seed=140, m=2, behavior="DOUBLE", monitor="adaptive",
+                 monitor_arg=0.5, zero_every=5, level_d_tasks=2, horizon=2.0,
+                 faults=random_plan(seed=140, m=2, anchor=2.0, horizon=2.0)),
 ]
 
 
@@ -112,7 +158,7 @@ def compute_digests(backend: str = "reference") -> dict:
 
 
 def test_corpus_shape():
-    assert len(CORPUS) == 30
+    assert len(CORPUS) == 40
     labels = [sc.label() for sc in CORPUS]
     assert len(set(labels)) == len(labels), "scenario labels must be unique"
 

@@ -150,7 +150,7 @@ class TestVirtualTimeInKernel:
         k = kernel_for([t], m=1)
         k.start()
         k.run_until(4.5)  # jobs 0 (at 0) and 1 (at 4) released
-        k.change_speed(0.5, k.engine.now)
+        k.change_speed(0.5)
         k.run_until(20.0)
         k.finish()
         recs = k.trace.jobs_of(0)
@@ -163,7 +163,7 @@ class TestVirtualTimeInKernel:
         k = kernel_for([t], m=1)
         k.start()
         k.run_until(5.0)  # PP (v=2) already passed; job still running
-        k.change_speed(0.5, 5.0)
+        k.change_speed(0.5)
         k.run_until(10.0)
         k.finish()
         r0 = k.trace.job(0, 0)
@@ -189,7 +189,7 @@ class TestVirtualTimeInKernel:
         trace = k.run(8.0)
         assert trace.job(0, 0).completion == 1.0
         with pytest.raises(RuntimeError, match="use_virtual_time"):
-            k.change_speed(0.5, 8.0)
+            k.change_speed(0.5)
 
     def test_disabled_mode_rejects_active_monitor(self):
         ts = TaskSet([make_c_task(0, 4.0, 1.0, y=3.0, tolerance=1.0)], m=1)

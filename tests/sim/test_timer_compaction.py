@@ -43,7 +43,7 @@ def churned_kernel(backend: str):
     kernel.attach_monitor(NullMonitor(kernel))
     kernel.start()
     for i in range(CHURN):
-        kernel.change_speed(0.5 if i % 2 == 0 else 1.0, kernel.now)
+        kernel.change_speed(0.5 if i % 2 == 0 else 1.0)
     return kernel
 
 

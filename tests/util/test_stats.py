@@ -1,6 +1,10 @@
 """Tests for repro.util.stats (means and confidence intervals)."""
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -86,3 +90,20 @@ class TestSummarize:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             summarize([])
+
+
+@pytest.mark.parametrize("module", ["repro", "repro.cli"])
+def test_import_loads_no_scipy(module):
+    """scipy is imported only inside ``mean_ci``: a fresh interpreter that
+    imports the package (every CLI call and campaign worker) loads none of it."""
+    env = dict(os.environ)
+    src = str(pathlib.Path(__file__).resolve().parents[2] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    code = (
+        f"import sys, {module}; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
