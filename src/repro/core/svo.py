@@ -47,20 +47,21 @@ class ReleaseController:
     def __init__(self, task: Task, release_delay: Optional[DelayFn] = None) -> None:
         self.task = task
         self._delay = release_delay
+        #: Whether this task's separations live in virtual time (level C).
+        self.is_virtual: bool = task.level is CriticalityLevel.C
+        #: ``T_i``, the minimum separation (virtual time for level C).
+        self.period: float = task.period
         #: Index of the next job to release.
         self.next_index: int = 0
         #: Earliest legal release of the next job:
         #: virtual time for level C, actual time for A/B/D.
         self._next_point: float = task.phase
         if release_delay is not None:
-            self._next_point += max(0.0, release_delay(task, 0))
+            delay = release_delay(task, 0)
+            if delay > 0.0:
+                self._next_point += delay
 
     # ------------------------------------------------------------------
-    @property
-    def is_virtual(self) -> bool:
-        """Whether this task's separations live in virtual time (level C)."""
-        return self.task.level is CriticalityLevel.C
-
     @property
     def next_release_virtual(self) -> float:
         """``v(r_{i,k})`` of the next pending release (level-C tasks only)."""
@@ -82,12 +83,12 @@ class ReleaseController:
         The result is clamped at *now*: a release whose earliest legal
         instant has already passed is due immediately.
         """
+        point = self._next_point
         if self.is_virtual:
-            virt_now = clock.act_to_virt(now)
-            if self._next_point <= virt_now:
+            if point <= clock.act_to_virt(now):
                 return now
-            return clock.virt_to_act(self._next_point)
-        return max(now, self._next_point)
+            return clock.virt_to_act(point)
+        return point if point > now else now
 
     def fire(self, clock: VirtualClock, now: float) -> tuple[int, float]:
         """Record a release at actual time *now*; return ``(index, v(r))``.
@@ -98,6 +99,8 @@ class ReleaseController:
         ``r_{i,k+1} >= r_{i,k} + T_i`` otherwise, plus any sporadic delay.
         """
         index = self.next_index
+        earliest = self._next_point
+        tol = earliest * 1e-15  # raised to an absolute floor below
         if self.is_virtual:
             point = clock.act_to_virt(now)
             # Tolerate the float round-off inherent in firing a timer at
@@ -105,23 +108,29 @@ class ReleaseController:
             # semantically met because the timer was armed at the earliest
             # legal instant.  The tolerance is relative (with an absolute
             # floor) so it stays above one ulp at large virtual times.
-            if point < self._next_point - max(1e-9, self._next_point * 1e-15):
+            if tol < 1e-9:
+                tol = 1e-9
+            if point < earliest - tol:
                 raise ValueError(
                     f"release of {self.task.label},{index} at virtual time {point} "
-                    f"violates eq. 5 (earliest legal: {self._next_point})"
+                    f"violates eq. 5 (earliest legal: {earliest})"
                 )
-            point = max(point, self._next_point)
         else:
             point = now
-            if point < self._next_point - max(1e-12, self._next_point * 1e-15):
+            if tol < 1e-12:
+                tol = 1e-12
+            if point < earliest - tol:
                 raise ValueError(
                     f"release of {self.task.label},{index} at {point} violates the "
-                    f"minimum separation (earliest legal: {self._next_point})"
+                    f"minimum separation (earliest legal: {earliest})"
                 )
-            point = max(point, self._next_point)
-        sep = self.task.period
+        if point < earliest:  # clamp the tolerated round-off
+            point = earliest
+        sep = self.period
         if self._delay is not None:
-            sep += max(0.0, self._delay(self.task, index + 1))
+            delay = self._delay(self.task, index + 1)
+            if delay > 0.0:
+                sep += delay
         self._next_point = point + sep
         self.next_index = index + 1
         return index, point

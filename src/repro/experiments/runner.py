@@ -158,18 +158,33 @@ def run_overload_experiment(
     if traffic is not None:
         end = max(end, traffic.last_burst_end(horizon))
 
+    kernel.start()
+    # The clock is fixed from start() on (seam guarantee G4), so it is
+    # resolved once.  The check runs after every event; its two monotone
+    # parts latch: time never goes back, and once past `end` no job
+    # released before `end` can appear, so "all drained" stays true.
+    clock = kernel.clock if isinstance(kernel.clock, VirtualClock) else None
+    past_end = False
+    drained = False
+
     def settled() -> bool:
-        if kernel.now <= end:
-            return False
+        nonlocal past_end, drained
+        if not past_end:
+            if kernel.now <= end:
+                return False
+            past_end = True
         if monitor.recovery_mode:
             return False
-        if isinstance(kernel.clock, VirtualClock) and not kernel.clock.is_normal_speed:
+        if clock is not None and not clock.is_normal_speed:
             return False
-        # Jobs released during (or before) the overload must be gone:
-        # their late completions can still trigger recovery.
-        return not kernel.pending_c_released_before(end)
+        if not drained:
+            # Jobs released during (or before) the overload must be gone:
+            # their late completions can still trigger recovery.
+            if kernel.pending_c_released_before(end):
+                return False
+            drained = True
+        return True
 
-    kernel.start()
     while True:
         kernel.run_until(horizon, stop=settled)
         if kernel.now >= horizon or not settled():

@@ -38,7 +38,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tupl
 
 from repro.faults.invariants import Violation, evaluate_invariants
 from repro.faults.plane import FaultPlane
-from repro.faults.spec import FaultPlan, random_plan
+from repro.faults.spec import ClockSkew, FaultPlan, random_plan
 from repro.model.taskset import TaskSet
 from repro.runtime.executor import PoolDegradation, map_pool_resilient
 from repro.runtime.spec import (
@@ -92,6 +92,14 @@ class CampaignCell:
 
     run: RunSpec
     plan: FaultPlan
+
+    def __post_init__(self) -> None:
+        # Refused when the cell is built, not deep inside run_cell: a
+        # skewed clock needs the virtual clock of use_virtual_time=True.
+        if not self.run.kernel.use_virtual_time and any(
+            isinstance(f, ClockSkew) for f in self.plan.faults
+        ):
+            raise ValueError("ClockSkew requires use_virtual_time=True")
 
     def key(self) -> str:
         """sha256 over the combined canonical JSON of run and plan.

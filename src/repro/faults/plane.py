@@ -235,26 +235,32 @@ class _SpikedBehavior:
     ) -> None:
         self._plane = plane
         self._inner = inner
-        self._spikes = spikes
+        #: ``(start, end, level, prob, factor)`` per spike, in plan order:
+        #: plain values, read on every release.
+        self._spikes = tuple(
+            (sp.start, sp.end, CriticalityLevel[sp.level], sp.prob, sp.factor)
+            for sp in spikes
+        )
         self._seed = seed
 
     def exec_time(self, task: Task, job_index: int, release: float) -> float:
         e = self._inner.exec_time(task, job_index, release)
         if e <= 0.0:
             return e
-        for sp in self._spikes:
-            if sp.start <= release < sp.end and task.level.name == sp.level:
-                if sp.prob >= 1.0 or unit_rand(
+        level = task.level
+        for start, end, spike_level, prob, factor in self._spikes:
+            if start <= release < end and level is spike_level:
+                if prob >= 1.0 or unit_rand(
                     self._seed, "execution_spike", task.task_id, job_index
-                ) < sp.prob:
+                ) < prob:
                     self._plane._emit(
                         release,
                         fault=ExecutionSpike.kind,
                         task=task.task_id,
                         job=job_index,
-                        factor=sp.factor,
+                        factor=factor,
                     )
-                    e *= sp.factor
+                    e *= factor
                 break
         return e
 

@@ -62,13 +62,14 @@ def _pwcet_or_fallback(task: Task, level: CriticalityLevel) -> float:
     Level-D tasks have no PWCETs; behaviours treat them as zero-demand
     unless the behaviour explicitly configures them.
     """
-    if level in task.pwcets:
-        return task.pwcets[level]
-    if task.pwcets:
+    pwcets = task.pwcets
+    cost = pwcets.get(level)  # PWCETs are positive, never None
+    if cost is not None:
+        return cost
+    if pwcets:
         # Fall back to the least-critical (smallest analysis index ... i.e.
         # largest enum value) PWCET available, which is the least pessimistic.
-        lvl = max(task.pwcets)
-        return task.pwcets[lvl]
+        return pwcets[max(pwcets)]
     return 0.0
 
 
@@ -184,6 +185,9 @@ class WindowedOverloadBehavior:
         for a, b in zip(self.windows, self.windows[1:]):
             if b.start < a.end:
                 raise ValueError(f"overload windows overlap: {a} and {b}")
+        #: The windows as ``(start, end)`` pairs: every release tests
+        #: them, and a plain loop over float pairs is the cheapest test.
+        self._bounds = tuple((w.start, w.end) for w in self.windows)
         self.overload_level = overload_level
         self.normal_level = normal_level
 
@@ -196,7 +200,10 @@ class WindowedOverloadBehavior:
 
     def in_overload(self, t: float) -> bool:
         """Whether actual time *t* lies inside any overload window."""
-        return any(w.contains(t) for w in self.windows)
+        for start, end in self._bounds:
+            if start <= t < end:
+                return True
+        return False
 
     def exec_time(self, task: Task, job_index: int, release: float) -> float:
         level = self.overload_level if self.in_overload(release) else self.normal_level

@@ -51,14 +51,22 @@ class BudgetEnforcedBehavior:
             paper leaves this optional, so it defaults off.
         """
         self.inner = inner
-        self.enforce = {
-            CriticalityLevel.A: enforce_a,
-            CriticalityLevel.B: enforce_b,
-            CriticalityLevel.C: enforce_c,
-        }
+        #: The levels whose budgets are enforced.
+        self.enforced = tuple(
+            level
+            for level, on in (
+                (CriticalityLevel.A, enforce_a),
+                (CriticalityLevel.B, enforce_b),
+                (CriticalityLevel.C, enforce_c),
+            )
+            if on
+        )
 
     def exec_time(self, task: Task, job_index: int, release: float) -> float:
         raw = self.inner.exec_time(task, job_index, release)
-        if self.enforce.get(task.level) and task.level in task.pwcets:
-            return min(raw, task.pwcets[task.level])
+        level = task.level
+        if level in self.enforced:
+            cap = task.pwcets.get(level)  # PWCETs are positive, never None
+            if cap is not None and cap < raw:
+                return cap
         return raw

@@ -85,6 +85,9 @@ _SCENARIOS: Dict[str, OverloadScenario] = {s.name: s for s in (SHORT, LONG, DOUB
 #: generator only emits levels A-C with small ids).
 _LEVEL_D_BASE_ID = 10_000
 
+#: ``level.name`` per level (an enum ``name`` read costs a descriptor call).
+_LEVEL_NAMES: Dict[CriticalityLevel, str] = {lvl: lvl.name for lvl in CriticalityLevel}
+
 
 def _traffic_presets() -> Dict[str, "TrafficSpec"]:  # noqa: F821 - late import
     """Canned open-system workloads for the traffic differential axis.
@@ -298,27 +301,16 @@ def fingerprint(trace: Trace, kernel: MC2Kernel, monitor: Monitor) -> Dict[str, 
     """Reduce one run to its comparable observable state.
 
     Job records and intervals keep the kernel's recording order —
-    completion order is part of the equivalence claim.
+    completion order is part of the equivalence claim.  Both are read
+    from the trace's rows, so no record object is built.
     """
     return {
         "jobs": [
-            (
-                r.task_id,
-                r.level.name,
-                r.index,
-                r.release,
-                r.exec_time,
-                r.completion,
-                r.actual_pp,
-                r.virtual_release,
-                r.virtual_pp,
-            )
-            for r in trace.jobs
+            (tid, _LEVEL_NAMES[level], index, rel, exec_time, comp, app, vrel, vpp)
+            for tid, level, index, rel, exec_time, comp, app, vrel, vpp
+            in trace.job_values()
         ],
-        "intervals": [
-            (iv.cpu, iv.task_id, iv.job_index, iv.start, iv.end)
-            for iv in trace.intervals
-        ],
+        "intervals": list(trace.interval_values()),
         "speed_changes": list(trace.speed_changes),
         "preemptions": kernel.preemptions,
         "migrations": kernel.migrations,

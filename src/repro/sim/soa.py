@@ -243,6 +243,8 @@ class SoAKernel:
         self._ap_run = self.j_run.append
         self._ap_last = self.j_last.append
         self._ap_gen = self.j_gen.append
+        #: Job records are trace rows (repro.sim.trace), one per job.
+        self._job_row = self.trace.job_rows.append
         #: Whether any dispatch input changed since the last dispatch.
         self._dirty = True
         self._started = False
@@ -700,7 +702,7 @@ class SoAKernel:
                 self._ab_stale[cpu] = True
                 self._ab_stale_cpus.append(cpu)
         index = self.j_idx[js]
-        self.trace.record_job_values(
+        self._job_row((
             tid,
             self._level_of[tid],
             index,
@@ -710,7 +712,7 @@ class SoAKernel:
             self.j_app[js],
             self.j_vrel[js],
             self.j_vpp[js],
-        )
+        ))
         if self._trace_on:
             self.tracer.emit(
                 EventName.JOB_COMPLETE,
@@ -1099,10 +1101,14 @@ class SoAKernel:
     # Trace plumbing / finalization
     # ------------------------------------------------------------------
     def _record_interval(self, cpu: int, js: int, start: float, end: float) -> None:
-        self.trace.record_interval_values(
-            cpu, self.j_tid[js], self.j_idx[js], start, end
-        )
-        if self._trace_on and end > start:
+        # Same filters as Trace.record_interval.
+        if end <= start:
+            return
+        if self.trace.record_intervals:
+            self.trace.interval_rows.append(
+                (cpu, self.j_tid[js], self.j_idx[js], start, end)
+            )
+        if self._trace_on:
             self.tracer.emit(
                 EventName.EXEC_INTERVAL,
                 end,
@@ -1128,11 +1134,10 @@ class SoAKernel:
                 self._record_interval(p, js, self._run_start[p], now)
             else:
                 since[p] = now
-        record = self.trace.record_job_values
         for pool in (*self.jobs_a, *self.jobs_b, self.jobs_c, self.jobs_d):
             for js in pool:
                 tid = self.j_tid[js]
-                record(
+                self._job_row((
                     tid,
                     self._level_of[tid],
                     self.j_idx[js],
@@ -1142,7 +1147,7 @@ class SoAKernel:
                     self.j_app[js],
                     self.j_vrel[js],
                     self.j_vpp[js],
-                )
+                ))
         self.metrics.counter("kernel.events").inc(self.events_processed)
         self.metrics.counter("kernel.preemptions").inc(self.preemptions)
         self.metrics.counter("kernel.migrations").inc(self.migrations)

@@ -4,12 +4,19 @@ A :class:`Trace` records, per job, the quantities the paper's metrics
 need (release, actual PP, completion, execution time) and optionally the
 full per-CPU execution intervals used by the example-schedule figures,
 invariant property tests, and ASCII schedule rendering.
+
+The kernels record *rows*: plain tuples in :class:`JobRecord` /
+:class:`ExecutionInterval` field order, appended to ``job_rows`` and
+``interval_rows``.  The record objects are built from the rows on the
+first read of :attr:`Trace.jobs` / :attr:`Trace.intervals`; a run whose
+readers need only values (the per-cell metrics, the fingerprint, the
+sojourn samples) never builds them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import astuple, dataclass
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.model.job import Job
 from repro.model.task import CriticalityLevel, Task
@@ -65,18 +72,71 @@ class ExecutionInterval:
         return self.end - self.start
 
 
+#: A job row: :class:`JobRecord`'s field values, in field order.
+JobRow = Tuple[
+    int, CriticalityLevel, int, float, float,
+    Optional[float], Optional[float], Optional[float], Optional[float],
+]
+#: An interval row: ``(cpu, task_id, job_index, start, end)``.
+IntervalRow = Tuple[int, int, int, float, float]
+
+_new = object.__new__
+
+
+def _job_records(rows: Iterable[JobRow]) -> List[JobRecord]:
+    """Build records from rows (the instance dict is filled directly:
+    the frozen dataclass ``__init__`` pays one ``object.__setattr__``
+    per field, and JobRecord has no ``__post_init__`` to skip)."""
+    out = []
+    for tid, level, index, rel, exec_time, comp, app, vrel, vpp in rows:
+        rec = _new(JobRecord)
+        rec.__dict__.update(
+            task_id=tid,
+            level=level,
+            index=index,
+            release=rel,
+            exec_time=exec_time,
+            completion=comp,
+            actual_pp=app,
+            virtual_release=vrel,
+            virtual_pp=vpp,
+        )
+        out.append(rec)
+    return out
+
+
+def _interval_records(rows: Iterable[IntervalRow]) -> List[ExecutionInterval]:
+    """Build intervals from rows (filled like :func:`_job_records`)."""
+    out = []
+    for cpu, tid, index, start, end in rows:
+        iv = _new(ExecutionInterval)
+        iv.__dict__.update(cpu=cpu, task_id=tid, job_index=index, start=start, end=end)
+        out.append(iv)
+    return out
+
+
 class Trace:
     """Accumulates job records and (optionally) execution intervals."""
 
     def __init__(self, record_intervals: bool = False) -> None:
         self.record_intervals = record_intervals
-        self.jobs: List[JobRecord] = []
-        self.intervals: List[ExecutionInterval] = []
+        #: Job rows in recording order (see the module docstring); the
+        #: kernels append here, one row per job.
+        self.job_rows: List[JobRow] = []
+        #: Interval rows in recording order (only when record_intervals).
+        self.interval_rows: List[IntervalRow] = []
         #: (time, speed) — every virtual-clock speed change the kernel applied.
         self.speed_changes: List[Tuple[float, float]] = []
+        # Records built so far from the rows, and how many rows that
+        # covers; anything appended to the lists from outside sits after
+        # the rows it followed.
+        self._jobs: List[JobRecord] = []
+        self._jobs_built = 0
+        self._intervals: List[ExecutionInterval] = []
+        self._intervals_built = 0
         # Lookup indexes over self.jobs (which stays in recording order):
         # (task_id, index) -> position, and task_id -> positions.  Built
-        # lazily on first query so record_job stays a pure append (it is
+        # lazily on first query so recording stays a pure append (it is
         # on the kernel's per-completion path).
         self._by_job: Dict[Tuple[int, int], int] = {}
         self._by_task: Dict[int, List[int]] = {}
@@ -87,63 +147,18 @@ class Trace:
     # ------------------------------------------------------------------
     def record_job(self, job: Job) -> None:
         """Snapshot *job*'s final state (call at completion or at sim end)."""
-        self.jobs.append(
-            JobRecord(
-                task_id=job.task.task_id,
-                level=job.task.level,
-                index=job.index,
-                release=job.release,
-                exec_time=job.exec_time,
-                completion=job.completion,
-                actual_pp=job.actual_pp,
-                virtual_release=job.virtual_release,
-                virtual_pp=job.virtual_pp,
-            )
-        )
-
-    def _reindex(self) -> None:
-        """Index any records appended since the last query."""
-        for pos in range(self._indexed, len(self.jobs)):
-            rec = self.jobs[pos]
-            self._by_job[(rec.task_id, rec.index)] = pos
-            self._by_task.setdefault(rec.task_id, []).append(pos)
-        self._indexed = len(self.jobs)
-
-    def record_job_values(
-        self,
-        task_id: int,
-        level: CriticalityLevel,
-        index: int,
-        release: float,
-        exec_time: float,
-        completion: Optional[float],
-        actual_pp: Optional[float],
-        virtual_release: Optional[float] = None,
-        virtual_pp: Optional[float] = None,
-    ) -> None:
-        """Record a job's final state from plain values.
-
-        The struct-of-arrays kernel backend has no :class:`Job` objects;
-        it records through this method, producing records identical to
-        :meth:`record_job`'s.  The record is built by filling the
-        instance dict directly: the frozen dataclass ``__init__`` pays
-        one ``object.__setattr__`` call per field, which is measurable
-        on the kernel's per-completion path (JobRecord has no
-        ``__post_init__``, so nothing is skipped).
-        """
-        rec = object.__new__(JobRecord)
-        rec.__dict__.update(
-            task_id=task_id,
-            level=level,
-            index=index,
-            release=release,
-            exec_time=exec_time,
-            completion=completion,
-            actual_pp=actual_pp,
-            virtual_release=virtual_release,
-            virtual_pp=virtual_pp,
-        )
-        self.jobs.append(rec)
+        task = job.task
+        self.job_rows.append((
+            task.task_id,
+            task.level,
+            job.index,
+            job.release,
+            job.exec_time,
+            job.completion,
+            job.actual_pp,
+            job.virtual_release,
+            job.virtual_pp,
+        ))
 
     def record_interval(
         self, cpu: int, job: Job, start: float, end: float
@@ -151,39 +166,67 @@ class Trace:
         """Record one execution interval (no-op unless enabled, or empty)."""
         if not self.record_intervals or end <= start:
             return
-        self.intervals.append(
-            ExecutionInterval(
-                cpu=cpu,
-                task_id=job.task.task_id,
-                job_index=job.index,
-                start=start,
-                end=end,
-            )
-        )
-
-    def record_interval_values(
-        self, cpu: int, task_id: int, job_index: int, start: float, end: float
-    ) -> None:
-        """Value-based twin of :meth:`record_interval` (same filters)."""
-        if not self.record_intervals or end <= start:
-            return
-        self.intervals.append(
-            ExecutionInterval(
-                cpu=cpu, task_id=task_id, job_index=job_index, start=start, end=end
-            )
-        )
+        self.interval_rows.append((cpu, job.task.task_id, job.index, start, end))
 
     def record_speed_change(self, time: float, speed: float) -> None:
         """Record a virtual-clock speed change."""
         self.speed_changes.append((time, speed))
 
     # ------------------------------------------------------------------
+    # Records (built from the rows on first read)
+    # ------------------------------------------------------------------
+    @property
+    def jobs(self) -> List[JobRecord]:
+        """Every job's :class:`JobRecord`, in recording order.
+
+        The list may be appended to (hand-built traces); a record
+        appended there follows every row recorded before it.
+        """
+        rows = self.job_rows
+        if self._jobs_built < len(rows):
+            self._jobs.extend(_job_records(rows[self._jobs_built:]))
+            self._jobs_built = len(rows)
+        return self._jobs
+
+    @property
+    def intervals(self) -> List[ExecutionInterval]:
+        """Every recorded :class:`ExecutionInterval`, in recording order."""
+        rows = self.interval_rows
+        if self._intervals_built < len(rows):
+            self._intervals.extend(_interval_records(rows[self._intervals_built:]))
+            self._intervals_built = len(rows)
+        return self._intervals
+
+    def job_values(self) -> Sequence[JobRow]:
+        """Every job as a row, in recording order, for readers that need
+        only values: no record is built unless one was appended to
+        :attr:`jobs` from outside, in which case the rows come from the
+        records."""
+        if len(self._jobs) == self._jobs_built:
+            return self.job_rows
+        return [astuple(r) for r in self.jobs]  # type: ignore[misc]
+
+    def interval_values(self) -> Sequence[IntervalRow]:
+        """Every interval as a row (the :meth:`job_values` twin)."""
+        if len(self._intervals) == self._intervals_built:
+            return self.interval_rows
+        return [astuple(iv) for iv in self.intervals]  # type: ignore[misc]
+
+    def _reindex(self) -> None:
+        """Index any records appended since the last query."""
+        jobs = self.jobs
+        for pos in range(self._indexed, len(jobs)):
+            rec = jobs[pos]
+            self._by_job[(rec.task_id, rec.index)] = pos
+            self._by_task.setdefault(rec.task_id, []).append(pos)
+        self._indexed = len(jobs)
+
+    # ------------------------------------------------------------------
     # Queries (used by metrics, tests, figures)
     # ------------------------------------------------------------------
     def jobs_of(self, task_id: int) -> List[JobRecord]:
         """All records of one task, ordered by job index."""
-        if self._indexed < len(self.jobs):
-            self._reindex()
+        self._reindex()
         return sorted(
             (self.jobs[i] for i in self._by_task.get(task_id, ())),
             key=lambda j: j.index,
@@ -191,8 +234,7 @@ class Trace:
 
     def job(self, task_id: int, index: int) -> JobRecord:
         """The record of one specific job (raises ``KeyError`` if absent)."""
-        if self._indexed < len(self.jobs):
-            self._reindex()
+        self._reindex()
         try:
             return self.jobs[self._by_job[(task_id, index)]]
         except KeyError:
@@ -211,8 +253,12 @@ class Trace:
         ]
 
     def response_times(self, level: CriticalityLevel = CriticalityLevel.C) -> List[float]:
-        """Response times of completed jobs at *level*."""
-        return [j.response_time for j in self.completed(level)]  # type: ignore[misc]
+        """Response times of completed jobs at *level* (read from the rows)."""
+        return [
+            row[5] - row[3]  # completion - release
+            for row in self.job_values()
+            if row[5] is not None and (level is None or row[1] is level)
+        ]
 
     def max_response_time(self, level: CriticalityLevel = CriticalityLevel.C) -> float:
         """Largest completed response time at *level* (0.0 if none)."""

@@ -50,6 +50,7 @@ import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -745,7 +746,12 @@ class _ServerQueue:
             return cached
         i = bisect_right(self._times, release + self._lookahead)
         eligible = self._prefix[i - 1] if i else 0.0
-        g = min(self._budget, max(0.0, eligible - self.served))
+        # The backlog, clamped to [0, budget].
+        g = eligible - self.served
+        if not g > 0.0:
+            g = 0.0
+        if self._budget < g:
+            g = self._budget
         self.served += g
         self._memo[job_index] = g
         return g
@@ -786,6 +792,15 @@ class TrafficBehavior:
         sequence and completions from the (backend-invariant) trace, so
         the same spec always yields the same samples.
         """
+        # One pass over the trace's rows buckets the server jobs'
+        # (index, completion) pairs by task; no record is built.
+        jobs: Dict[int, List[Tuple[int, Optional[float]]]] = {
+            tid: [] for tid in self._queues
+        }
+        for row in trace.job_values():
+            bucket = jobs.get(row[0])
+            if bucket is not None:
+                bucket.append((row[2], row[5]))
         samples: List[float] = []
         requests = 0
         for tid in sorted(self._queues):
@@ -796,8 +811,9 @@ class TrafficBehavior:
                 continue
             granted = 0.0
             i = 0  # first request not yet fully granted
-            for job in trace.jobs_of(tid):
-                g = queue._memo.get(job.index)
+            # Job-index order (a zero-demand job can be recorded early).
+            for index, completion in sorted(jobs[tid], key=itemgetter(0)):
+                g = queue._memo.get(index)
                 if g is None:
                     continue  # released past the horizon; never sampled
                 granted += g
@@ -805,10 +821,10 @@ class TrafficBehavior:
                     need = prefix[i]
                     if granted + 1e-9 * max(1.0, need) < need:
                         break
-                    if job.completion is not None:
+                    if completion is not None:
                         # Clamped: deferrable lookahead can admit an
                         # arrival into a job that completes before the
                         # arrival instant (documented approximation).
-                        samples.append(max(0.0, job.completion - times[i]))
+                        samples.append(max(0.0, completion - times[i]))
                     i += 1
         return samples, requests

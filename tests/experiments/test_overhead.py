@@ -1,9 +1,18 @@
 """Tests for the Fig. 9 overhead measurement."""
 
+import statistics
+
 import pytest
 
-from repro.experiments.overhead import OverheadResult, measure_overheads
+from repro.experiments.overhead import (
+    OverheadResult,
+    _normal_run_samples,
+    measure_overheads,
+)
 from repro.workload.generator import GeneratorParams, generate_tasksets
+
+#: Alternating pairs behind the overhead ratio (odd: the median is one pair).
+OVERHEAD_PAIRS = 7
 
 
 class TestOverheadResult:
@@ -37,8 +46,11 @@ class TestOverheadResult:
 
 class TestMeasureOverheads:
     @pytest.fixture(scope="class")
-    def result(self):
-        tasksets = generate_tasksets(1, base_seed=3, params=GeneratorParams(m=2))
+    def tasksets(self):
+        return generate_tasksets(1, base_seed=3, params=GeneratorParams(m=2))
+
+    @pytest.fixture(scope="class")
+    def result(self, tasksets):
         return measure_overheads(tasksets, horizon=1.0)
 
     def test_collects_samples_all_variants(self, result):
@@ -53,6 +65,20 @@ class TestMeasureOverheads:
         """The apples-to-apples comparison: same event counts."""
         assert result.samples_with_vt == result.samples_without_vt
 
-    def test_mechanism_overhead_is_modest(self, result):
-        """The reproduced Fig. 9 claim (very loose: wall-clock noise)."""
-        assert result.avg_ratio < 2.0
+    def test_mechanism_overhead_is_modest(self, tasksets):
+        """The reproduced Fig. 9 claim (very loose: wall-clock noise).
+
+        One pair is an idle-mechanism run with and one without virtual
+        time, timed back to back in alternating order; the verdict is
+        the median of the pairs' average-case ratios, so a burst of host
+        load spoils one pair, not the verdict.
+        """
+        ratios = []
+        for i in range(OVERHEAD_PAIRS):
+            order = (False, True) if i % 2 == 0 else (True, False)
+            mean = {
+                vt: statistics.fmean(_normal_run_samples(tasksets[0], vt, horizon=1.0))
+                for vt in order
+            }
+            ratios.append(mean[True] / mean[False])
+        assert statistics.median(ratios) < 2.0, ratios

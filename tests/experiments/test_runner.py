@@ -3,10 +3,15 @@
 import pytest
 
 from repro.core.monitor import AdaptiveMonitor, NullMonitor, SimpleMonitor
+from repro.core.virtual_time import VirtualClock
 from repro.experiments.runner import ExperimentOutput, MonitorSpec, run_overload_experiment
-from repro.sim.kernel import MC2Kernel
+from repro.experiments.traffic import mmpp_traffic
+from repro.faults.plane import FaultPlane
+from repro.faults.spec import ClockSkew, FaultPlan
+from repro.sim.kernel import KernelConfig, MC2Kernel
+from repro.sim.soa import SoAKernel
 from repro.workload.generator import GeneratorParams, generate_taskset
-from repro.workload.scenarios import DOUBLE, SHORT
+from repro.workload.scenarios import CALM, DOUBLE, SHORT
 
 # A small platform keeps these tests fast.
 PARAMS = GeneratorParams(m=2)
@@ -95,3 +100,80 @@ class TestRunOverloadExperiment:
         a = run_overload_experiment(small_ts, SHORT, MonitorSpec("simple", 0.6))
         b = run_overload_experiment(small_ts, SHORT, MonitorSpec("simple", 0.6))
         assert a == b
+
+
+def literal_settled(kernel, monitor, end) -> bool:
+    """The settle predicate as first written: every part read afresh."""
+    if kernel.now <= end:
+        return False
+    if monitor.recovery_mode:
+        return False
+    if isinstance(kernel.clock, VirtualClock) and not kernel.clock.is_normal_speed:
+        return False
+    return not kernel.pending_c_released_before(end)
+
+
+#: name -> (scenario, monitor, use_virtual_time, fault plan, traffic)
+SETTLE_CASES = {
+    "simple-short": (SHORT, MonitorSpec("simple", 0.6), True, None, None),
+    "adaptive-double": (DOUBLE, MonitorSpec("adaptive", 0.6), True, None, None),
+    "no-virtual-time": (SHORT, MonitorSpec("none", None), False, None, None),
+    "clock-skew": (
+        SHORT, MonitorSpec("simple", 0.6), True,
+        FaultPlan((ClockSkew(0.2, 3.0, magnitude=0.01),), seed=1), None,
+    ),
+    "traffic-burst": (CALM, MonitorSpec("simple", 0.6), True, None, mmpp_traffic(0.3, 2, seed=7)),
+}
+
+
+class TestSettleCheck:
+    """The runner's settle check latches its monotone parts and resolves
+    the clock once; after every event it must still answer what the
+    literal predicate answers."""
+
+    @pytest.mark.parametrize("backend", ["reference", "soa"])
+    @pytest.mark.parametrize("case", sorted(SETTLE_CASES))
+    def test_latched_check_equals_literal_predicate(
+        self, small_ts, backend, case, monkeypatch
+    ):
+        scenario, spec, vt, plan, traffic = SETTLE_CASES[case]
+        horizon = 30.0
+        end = scenario.last_overload_end
+        if traffic is not None:
+            end = max(end, traffic.last_burst_end(horizon))
+        cls = SoAKernel if backend == "soa" else MC2Kernel
+        attach, run_until = cls.attach_monitor, cls.run_until
+        seen = {"monitor": None, "segments": 0, "checks": 0, "settled": 0}
+
+        def attach_monitor(kernel, monitor):
+            seen["monitor"] = monitor
+            attach(kernel, monitor)
+
+        def checked_run_until(kernel, until, stop=None):
+            # The runner alternates settled() and `not settled()` segments.
+            negated = seen["segments"] % 2 == 1
+            seen["segments"] += 1
+
+            def check():
+                got = stop()
+                want = literal_settled(kernel, seen["monitor"], end)
+                assert got == (not want if negated else want), (
+                    f"t={kernel.now} segment={seen['segments']}"
+                )
+                seen["checks"] += 1
+                seen["settled"] += want
+                return got
+
+            return run_until(kernel, until, check)
+
+        monkeypatch.setattr(cls, "attach_monitor", attach_monitor)
+        monkeypatch.setattr(cls, "run_until", checked_run_until)
+        out = run_overload_experiment(
+            small_ts, scenario, spec, horizon=horizon,
+            config=KernelConfig(use_virtual_time=vt, backend=backend),
+            keep_artifacts=True,
+            fault_plane=FaultPlane(plan) if plan is not None else None,
+            traffic=traffic,
+        )
+        assert seen["checks"] == out.kernel.events_processed
+        assert seen["settled"] > 0  # the latched parts were reached

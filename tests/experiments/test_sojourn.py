@@ -15,9 +15,13 @@ Pins the satellite's contract:
 
 import json
 
+import pytest
+
 from repro.experiments.metrics import RunResult, SojournStats
+from repro.experiments.runner import run_overload_experiment
 from repro.experiments.traffic import (
     figure_offered_load,
+    mmpp_traffic,
     poisson_traffic,
     render_sojourn_table,
     traffic_sweep,
@@ -25,7 +29,9 @@ from repro.experiments.traffic import (
 from repro.io.results_json import run_result_from_dict, run_result_to_dict
 from repro.runtime.executor import run_spec
 from repro.runtime.spec import MonitorSpec, RunSpec, ScenarioSpec, TaskSetSpec
-from repro.workload.generator import GeneratorParams
+from repro.sim.kernel import KernelConfig
+from repro.sim.trace import Trace
+from repro.workload.generator import GeneratorParams, generate_taskset
 from repro.workload.scenarios import CALM, SHORT
 
 PARAMS = GeneratorParams(m=2)
@@ -137,3 +143,70 @@ class TestRendering:
         assert set(raw) == {("SIMPLE(s=0.6)", 0.45)}
         (runs,) = raw.values()
         assert runs[0].sojourn is not None
+
+
+def old_sojourn_samples(behavior, trace):
+    """TrafficBehavior.sojourn_samples as it read the records (jobs_of)."""
+    samples = []
+    requests = 0
+    for tid in sorted(behavior._queues):
+        queue = behavior._queues[tid]
+        times, prefix = queue._times, queue._prefix
+        requests += len(times)
+        if not times:
+            continue
+        granted = 0.0
+        i = 0
+        for job in trace.jobs_of(tid):
+            g = queue._memo.get(job.index)
+            if g is None:
+                continue
+            granted += g
+            while i < len(times):
+                need = prefix[i]
+                if granted + 1e-9 * max(1.0, need) < need:
+                    break
+                if job.completion is not None:
+                    samples.append(max(0.0, job.completion - times[i]))
+                i += 1
+    return samples, requests
+
+
+class TestSojournRows:
+    """The one-pass row reader answers what the per-task record reader did."""
+
+    @pytest.mark.parametrize("backend", ["reference", "soa"])
+    @pytest.mark.parametrize(
+        "traffic",
+        [poisson_traffic(0.45, 2, seed=3), mmpp_traffic(0.2, 2, seed=4)],
+        ids=["poisson", "mmpp"],
+    )
+    def test_row_pass_equals_record_based_samples(self, backend, traffic):
+        out = run_overload_experiment(
+            generate_taskset(2015, PARAMS), CALM, MonitorSpec("simple", 0.6),
+            horizon=3.0, config=KernelConfig(backend=backend),
+            keep_artifacts=True, traffic=traffic,
+        )
+        behavior = out.kernel.behavior
+        got = behavior.sojourn_samples(out.trace)  # before any record exists
+        assert got == old_sojourn_samples(behavior, out.trace)
+        assert got[0] and got[1] >= len(got[0])
+
+    def test_rows_are_read_in_job_index_order(self):
+        """Whatever order the rows were recorded in, jobs drain requests
+        in index order (as jobs_of returned them)."""
+        traffic = poisson_traffic(0.45, 1, seed=3)
+        server = traffic.server_tasks(1)[0]
+        behavior = traffic.build_behavior(None, horizon=2.0)
+        releases = [k * server.period for k in range(40)]
+        for k, r in enumerate(releases):
+            behavior.exec_time(server, k, r)
+        trace = Trace()
+        for k in reversed(range(len(releases))):
+            trace.job_rows.append((
+                server.task_id, server.level, k, releases[k], 0.0,
+                releases[k] + server.period / 2, None, None, None,
+            ))
+        got = behavior.sojourn_samples(trace)
+        assert got == old_sojourn_samples(behavior, trace)
+        assert len(got[0]) > 1

@@ -20,9 +20,9 @@ from repro.faults.campaign import (
     build_campaign,
     run_campaign,
 )
-from repro.faults.spec import CpuStall, FaultPlan
+from repro.faults.spec import ClockSkew, CpuStall, FaultPlan
 from repro.runtime.executor import PoolDegradation
-from repro.runtime.spec import MonitorSpec
+from repro.runtime.spec import KernelSpec, MonitorSpec
 
 @pytest.fixture(scope="module")
 def cells(small_spec, make_cell):
@@ -76,6 +76,35 @@ class TestBuildCampaign:
             CampaignConfig(cells=0)
         with pytest.raises(ValueError):
             CampaignConfig(tasksets=0)
+
+
+class TestCellValidation:
+    """Unsupported combinations are refused when the cell is built."""
+
+    def no_vt_spec(self, small_spec):
+        return replace(
+            small_spec,
+            monitor=MonitorSpec("none", None),
+            kernel=KernelSpec(use_virtual_time=False),
+        )
+
+    def test_clock_skew_without_virtual_time_refused(self, small_spec):
+        spec = self.no_vt_spec(small_spec)
+        plan = FaultPlan((ClockSkew(0.1, 0.5, magnitude=0.01),), seed=1)
+        with pytest.raises(ValueError, match="ClockSkew requires use_virtual_time=True"):
+            CampaignCell(run=spec, plan=plan)
+        # A stored cell is refused on decode, before anything runs.
+        doc = CampaignCell(run=small_spec, plan=plan).to_dict()
+        doc["run"]["kernel"]["use_virtual_time"] = False
+        with pytest.raises(ValueError, match="ClockSkew requires use_virtual_time=True"):
+            CampaignCell.from_dict(doc)
+
+    def test_other_faults_without_virtual_time_accepted(self, small_spec):
+        spec = self.no_vt_spec(small_spec)
+        cell = CampaignCell(
+            run=spec, plan=FaultPlan((CpuStall(cpu=0, start=1.0, end=2.0),), seed=1)
+        )
+        assert cell.key()
 
 
 class TestBackendEquivalence:

@@ -117,11 +117,14 @@ import repro.runtime.shard as shard
 orig = shard._execute_shard
 def beaconed(store, campaign, s, owner, cache, clock,
              on_cell=None, telemetry=None):
-    def tick(cached):
+    # The beacon follows the cell's telemetry sample, so the kill it
+    # triggers always leaves the victim at least one sample to aggregate.
+    cell_done = telemetry.cell_done
+    def tick(*args, **kwargs):
+        cell_done(*args, **kwargs)
         open(sys.argv[2], "a").write("cell\\n")
-        if on_cell is not None:
-            on_cell(cached)
-    return orig(store, campaign, s, owner, cache, clock, tick, telemetry)
+    telemetry.cell_done = tick
+    return orig(store, campaign, s, owner, cache, clock, on_cell, telemetry)
 shard._execute_shard = beaconed
 work(sys.argv[1], owner="victim", lease_ttl=0.5, telemetry=True)
 """
