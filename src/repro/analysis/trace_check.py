@@ -49,11 +49,17 @@ def job_misses_tolerance(rec: JobRecord, ts: TaskSet) -> bool:
     """Def. 1 on a completed record (False for incomplete/non-C jobs)."""
     if rec.level is not CriticalityLevel.C or rec.completion is None:
         return False
-    xi = ts[rec.task_id].tolerance
+    return _misses_tolerance(rec.task_id, rec.completion, rec.actual_pp, ts)
+
+
+def _misses_tolerance(
+    task_id: int, completion: float, actual_pp: Optional[float], ts: TaskSet
+) -> bool:
+    """Def. 1 on a completed level-C job's values: ``t^c - y > xi``."""
+    xi = ts[task_id].tolerance
     if xi is None:
-        raise ValueError(f"task {rec.task_id} has no tolerance configured")
-    lateness = rec.pp_lateness
-    return lateness is not None and lateness > xi
+        raise ValueError(f"task {task_id} has no tolerance configured")
+    return actual_pp is not None and completion - actual_pp > xi
 
 
 def pending_jobs_at(trace: Trace, t: float) -> List[JobRecord]:
@@ -106,13 +112,13 @@ def _idle_normal_flags(
     """Def. 2 at each of *instants* (with ``ts.m`` CPUs), in one sweep.
 
     The same answers as :func:`is_idle_normal_instant` per instant, in
-    O((jobs + instants) log jobs): the level-C records' release instants
+    O((jobs + instants) log jobs): the level-C jobs' release instants
     (pending from ``r <= t``) and completion instants (pending while
     ``t < t^c``) are walked in time order, keeping a pending count per
     task (the eligible heads are the tasks with a pending job) and a
-    count of pending records that are unfinished or miss Def. 1.  Def. 1
-    is evaluated for every completed level-C record, so every level-C
-    task needs a tolerance.
+    count of pending jobs that are unfinished or miss Def. 1.  Def. 1 is
+    evaluated for every completed level-C job, so every level-C task
+    needs a tolerance.  Reads the trace's rows, so no record is built.
     """
     if not instants:
         return []
@@ -120,13 +126,13 @@ def _idle_normal_flags(
     # at equal times releases sort first, so a zero-length job is added
     # before it is removed and no task's count goes negative.
     events: List[Tuple[float, int, int, bool]] = []
-    for rec in trace.jobs:
-        if rec.level is not CriticalityLevel.C:
+    for task_id, level, _, release, _, completion, actual_pp, _, _ in trace.job_values():
+        if level is not CriticalityLevel.C:
             continue
-        blocks = rec.completion is None or job_misses_tolerance(rec, ts)
-        events.append((rec.release, 0, rec.task_id, blocks))
-        if rec.completion is not None:
-            events.append((rec.completion, 1, rec.task_id, blocks))
+        blocks = completion is None or _misses_tolerance(task_id, completion, actual_pp, ts)
+        events.append((release, 0, task_id, blocks))
+        if completion is not None:
+            events.append((completion, 1, task_id, blocks))
     events.sort()
     flags = [False] * len(instants)
     pending: Dict[int, int] = {}  # task_id -> pending job count
@@ -197,9 +203,9 @@ def verify_monitor_decisions(
     if not closed:
         return MonitorVerdict(episodes_checked=0, violations=())
     completions = sorted(
-        rec.completion
-        for rec in trace.jobs
-        if rec.level is CriticalityLevel.C and rec.completion is not None
+        completion
+        for _, level, _, _, _, completion, _, _, _ in trace.job_values()
+        if level is CriticalityLevel.C and completion is not None
     )
     exits = [ep.end - probe_back for ep in closed]
     flags = _idle_normal_flags(trace, ts, completions + exits)

@@ -12,9 +12,9 @@ Determinism is the load-bearing property: a cell's outcome (including
 its run :func:`~repro.sim.diffcheck.fingerprint` digest and the exact
 violation messages) depends only on the cell, never on the backend or
 worker count, so a campaign's scorecard JSON is byte-identical whether
-it ran serially or on a pool.  Parallel execution reuses
-:func:`~repro.runtime.executor.map_pool_resilient`, so a killed worker
-degrades the wall clock, not the scorecard.
+it ran serially or on a pool.  Execution reuses the sweep executors'
+slice runner (:func:`~repro.runtime.shard.run_local`), so a killed
+worker degrades the wall clock, not the scorecard.
 
 Campaign construction (:func:`build_campaign`) has two modes:
 
@@ -31,7 +31,6 @@ Campaign construction (:func:`build_campaign`) has two modes:
 from __future__ import annotations
 
 import json
-import os
 import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -40,7 +39,7 @@ from repro.faults.invariants import Violation, evaluate_invariants
 from repro.faults.plane import FaultPlane
 from repro.faults.spec import ClockSkew, FaultPlan, random_plan
 from repro.model.taskset import TaskSet
-from repro.runtime.executor import PoolDegradation, map_pool_resilient
+from repro.runtime.executor import PoolDegradation, simulate_spec
 from repro.runtime.spec import (
     KernelSpec,
     MonitorSpec,
@@ -231,51 +230,30 @@ def run_cell(
 ) -> CellOutcome:
     """Execute one campaign cell and judge it against the invariants.
 
-    Module-level and importing lazily, like
-    :func:`repro.runtime.executor.run_spec`, so it pickles cleanly as a
-    process-pool task; *tasksets* is the same optional task-set sharing
-    scope (a faulted cell and its fault-free baseline share one task
-    set).  Tracing follows ``cell.run.obs`` with a
-    ``cell-<key prefix>.jsonl`` default name; it is observation-only —
-    the outcome is identical with or without it.
+    The run is :func:`~repro.runtime.executor.simulate_spec`, the body
+    sweep cells run too, plus the cell's fault plane; *tasksets* is the
+    optional sharing scope.  The invariants are judged against the task
+    set the kernel ran (a traffic spec adds server tasks).  A traced
+    cell's default trace name is ``cell-<key prefix>.jsonl``; tracing is
+    observation only.
     """
-    from repro.experiments.runner import run_overload_experiment
-
     spec = cell.run
-    tracer = None
-    if spec.obs.tracing:
-        from repro.obs.tracer import JsonlTracer
-
-        os.makedirs(spec.obs.trace_dir, exist_ok=True)
-        name = spec.obs.trace_name or f"cell-{cell.key()[:12]}.jsonl"
-        tracer = JsonlTracer(
-            os.path.join(spec.obs.trace_dir, name),
-            meta={
+    out = simulate_spec(
+        spec,
+        tasksets,
+        lambda: (
+            f"cell-{cell.key()[:12]}.jsonl",
+            {
                 "cell_key": cell.key(),
                 "plan_key": cell.plan.key(),
                 "scenario": spec.scenario.name,
                 "monitor": spec.monitor.label,
             },
-        )
-    ts = spec.taskset.materialize_shared(tasksets)
-    plane = None if cell.plan.is_empty else FaultPlane(cell.plan)
-    try:
-        out = run_overload_experiment(
-            ts,
-            spec.scenario.build(),
-            spec.monitor,
-            horizon=spec.horizon,
-            confirm_window=spec.confirm_window,
-            config=spec.kernel.to_config(),
-            keep_artifacts=True,
-            level_c_budgets=spec.level_c_budgets,
-            tracer=tracer,
-            fault_plane=plane,
-        )
-    finally:
-        if tracer is not None:
-            tracer.close()
-    report = evaluate_invariants(out, ts, s_min=_s_min_for(spec.monitor))
+        ),
+        keep_artifacts=True,
+        fault_plane=None if cell.plan.is_empty else FaultPlane(cell.plan),
+    )
+    report = evaluate_invariants(out, out.kernel.taskset, s_min=_s_min_for(spec.monitor))
     digest = fingerprint_digest(fingerprint(out.trace, out.kernel, out.monitor))
     r = out.result
     return CellOutcome(
@@ -396,36 +374,30 @@ def run_campaign(
 ) -> "Scorecard":
     """Execute *cells* (serially or on a pool) into a :class:`Scorecard`.
 
-    ``jobs > 1`` fans cells out over a process pool via
-    :func:`~repro.runtime.executor.map_pool_resilient`, so worker
-    deaths degrade to retry / in-process execution instead of losing
-    the campaign.  Outcomes keep submission order and are bit-identical
-    across backends (each cell is deterministic in itself).
+    Through the sweep executors' slice runner
+    (:func:`~repro.runtime.shard.run_local`): a serial campaign is one
+    task-set sharing scope, a pool slice is one, and worker deaths
+    degrade to retry / in-process execution.  Outcomes keep submission
+    order and are bit-identical across backends.
     """
+    # Imported lazily: repro.runtime.shard builds on this module.
+    from repro.runtime.shard import get_kind, run_local
+
     cells = list(cells)
     if progress is not None:
         progress.begin(len(cells))
-
-    def tick(outcome) -> None:
-        if progress is not None:
-            progress.cell_done(cached=False)
-
-    if jobs <= 1 or len(cells) <= 1:
-        outcomes: List[CellOutcome] = []
-        for c in cells:
-            o = run_cell(c)
-            outcomes.append(o)
-            tick(o)
-        degradation = PoolDegradation()
-    else:
-        workers = min(jobs, len(cells))
-        chunk = max(1, -(-len(cells) // (4 * workers)))
-        outcomes, degradation = map_pool_resilient(
-            run_cell, cells, workers, chunk, on_result=tick
-        )
+    rows, degradation = run_local(
+        get_kind("faults"),
+        cells,
+        jobs,
+        on_cell=None if progress is None else lambda _row: progress.cell_done(cached=False),
+    )
     if progress is not None:
         progress.finish()
-    return Scorecard(outcomes=tuple(outcomes), degradation=degradation)
+    return Scorecard(
+        outcomes=tuple(outcome for outcome, _cached, _wall in rows),
+        degradation=degradation,
+    )
 
 
 @dataclass(frozen=True)

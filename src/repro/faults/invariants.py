@@ -192,13 +192,14 @@ def evaluate_invariants(
 def _check_ab_isolation(
     trace: Trace, ts: TaskSet, sim_end: float, sink: _Collector
 ) -> None:
-    for rec in trace.jobs:
-        if rec.level is not CriticalityLevel.A and rec.level is not CriticalityLevel.B:
+    # Rows, not records: the oracles never make a trace build its records.
+    for task_id, level, index, release, _, completion, _, _, _ in trace.job_values():
+        if level is not CriticalityLevel.A and level is not CriticalityLevel.B:
             continue
-        if rec.task_id >= FAULT_TASK_BASE_ID:
+        if task_id >= FAULT_TASK_BASE_ID:
             continue  # synthetic stall hogs have no deadline contract
-        deadline = rec.release + ts[rec.task_id].period
-        if rec.completion is None:
+        deadline = release + ts[task_id].period
+        if completion is None:
             # Incomplete at trace end: only a miss if the deadline passed.
             if deadline < sim_end - _EPS:
                 sink.add(
@@ -206,24 +207,24 @@ def _check_ab_isolation(
                         invariant="ab_isolation",
                         t=deadline,
                         message=(
-                            f"level-{rec.level.name} job never completed; "
+                            f"level-{level.name} job never completed; "
                             f"deadline {deadline:.6f} < sim end {sim_end:.6f}"
                         ),
-                        task=rec.task_id,
-                        job=rec.index,
+                        task=task_id,
+                        job=index,
                     )
                 )
-        elif rec.completion > deadline + _EPS:
+        elif completion > deadline + _EPS:
             sink.add(
                 Violation(
                     invariant="ab_isolation",
-                    t=rec.completion,
+                    t=completion,
                     message=(
-                        f"level-{rec.level.name} deadline miss: completed "
-                        f"{rec.completion - deadline:.6f} after r+T={deadline:.6f}"
+                        f"level-{level.name} deadline miss: completed "
+                        f"{completion - deadline:.6f} after r+T={deadline:.6f}"
                     ),
-                    task=rec.task_id,
-                    job=rec.index,
+                    task=task_id,
+                    job=index,
                 )
             )
 
@@ -314,20 +315,20 @@ def _check_gel_order(trace: Trace, sink: _Collector) -> None:
     key_of: Dict[Tuple[int, int], Key] = {}
     # Grouped events: time -> list of (action, payload).
     events: DefaultDict[float, List[Tuple[str, Any]]] = defaultdict(list)
-    for rec in trace.jobs:
-        if rec.level is not CriticalityLevel.C or rec.virtual_pp is None:
+    for task_id, level, index, release, _, completion, _, _, vpp in trace.job_values():
+        if level is not CriticalityLevel.C or vpp is None:
             continue
-        jid = (rec.task_id, rec.index)
-        key_of[jid] = (rec.virtual_pp, rec.task_id, rec.index)
-        events[rec.release].append(("add", jid))
-        if rec.completion is not None:
-            events[rec.completion].append(("del", jid))
-    for iv in trace.intervals:
-        jid = (iv.task_id, iv.job_index)
+        jid = (task_id, index)
+        key_of[jid] = (vpp, task_id, index)
+        events[release].append(("add", jid))
+        if completion is not None:
+            events[completion].append(("del", jid))
+    for _, task_id, index, start, end in trace.interval_values():
+        jid = (task_id, index)
         if jid not in key_of:
             continue  # non-C interval
-        events[iv.start].append(("run", jid))
-        events[iv.end].append(("stop", jid))
+        events[start].append(("run", jid))
+        events[end].append(("stop", jid))
 
     pending: Dict[int, Dict[int, Key]] = {}  # task_id -> {index: key}
     head_of: Dict[int, int] = {}  # task_id -> index of its pending head

@@ -565,7 +565,9 @@ def verify_manifest(
                 )
                 for pos in positions:
                     key, expected = manifest.cells[pos]
-                    actual = doc_digest(kind.execute(campaign.cells[pos]))
+                    actual = doc_digest(
+                        kind.result_to_dict(kind.execute(campaign.cells[pos]))
+                    )
                     reexecuted.append(pos)
                     if actual != expected:
                         checks.append(CellCheck(

@@ -27,12 +27,14 @@ count never change the aggregated figures — only the wall clock.
 **Task-set sharing**: sweep grids usually share a handful of task-set
 specs (the seed axis) across many cells (the scenario x monitor axes),
 and for short-horizon cells task-set generation is a large fraction of
-the cost.  Every executor therefore runs its cells through
-:func:`run_spec` with a sharing scope — a dict in which each distinct
-``TaskSetSpec`` is materialized once
+the cost.  Every executor therefore runs its cells through one
+per-cell loop (``run_cells`` of the cell kind, in
+:mod:`repro.runtime.shard`) with a sharing scope — a dict in which each
+distinct ``TaskSetSpec`` is materialized once
 (:meth:`~repro.runtime.spec.TaskSetSpec.materialize_shared`).  A scope
-is one serial ``run()`` call or one pool slice here, one file-queue
-shard in :mod:`repro.runtime.shard`, one lease grant in
+is one serial ``run()`` call or one pool slice here (the slice runner
+:func:`~repro.runtime.shard.run_local`, which in-memory fault campaigns
+use too), one file-queue shard, one lease grant in
 :mod:`repro.serve.worker` — never process-wide.  Sharing is safe
 because :class:`~repro.model.taskset.TaskSet` is immutable and
 simulation never mutates it, so results are bit-for-bit those of fresh
@@ -43,9 +45,8 @@ from __future__ import annotations
 
 import concurrent.futures
 import os
-import time
 from dataclasses import dataclass, fields
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.metrics import RunResult
 from repro.model.taskset import TaskSet
@@ -56,6 +57,7 @@ from repro.runtime.cache import ResultCache
 from repro.runtime.spec import RunSpec, TaskSetSpec
 
 __all__ = [
+    "simulate_spec",
     "run_spec",
     "SweepStats",
     "PoolDegradation",
@@ -67,26 +69,22 @@ __all__ = [
 ]
 
 
-def run_spec(
-    spec: RunSpec, tasksets: Optional[Dict[TaskSetSpec, TaskSet]] = None
-) -> RunResult:
-    """Execute one cell: materialize the task set, simulate, return the result.
+def simulate_spec(
+    spec: RunSpec,
+    tasksets: Optional[Dict[TaskSetSpec, TaskSet]],
+    trace_header: Callable[[], Tuple[str, Dict[str, Any]]],
+    **options: Any,
+):
+    """The one ``RunSpec`` -> run body behind :func:`run_spec` and
+    :func:`repro.faults.campaign.run_cell`.
 
-    *tasksets* is the caller's sharing scope (see the module
-    docstring): the task set is materialized only if no earlier cell of
-    the scope did so.  ``None`` materializes afresh; the result is the
-    same either way.
-
-    Module-level (and importing nothing exotic) so it pickles cleanly as
-    a process-pool task.  Custom monitor kinds must be registered at
-    *import* time of a module the worker also imports — with the default
-    ``fork`` start method on Linux, anything registered in the parent is
-    simply inherited.
-
-    When ``spec.obs`` requests tracing, a
-    :class:`~repro.obs.tracer.JsonlTracer` streams the run's events to
-    ``<trace_dir>/run-<key prefix>.jsonl``.  Tracing is observation
-    only: the returned :class:`RunResult` is identical either way.
+    Materializes the task set in the sharing scope *tasksets* (``None``:
+    afresh, same result), opens the :class:`~repro.obs.tracer.JsonlTracer`
+    ``spec.obs`` asks for (*trace_header* gives its default file name
+    and meta header) and returns
+    :func:`~repro.experiments.runner.run_overload_experiment` run with
+    every ``RunSpec`` field and *options* (``keep_artifacts``,
+    ``fault_plane``).
     """
     from repro.experiments.runner import run_overload_experiment
 
@@ -95,18 +93,13 @@ def run_spec(
     if spec.obs.tracing:
         from repro.obs.tracer import JsonlTracer
 
+        name, meta = trace_header()
         os.makedirs(spec.obs.trace_dir, exist_ok=True)
-        name = spec.obs.trace_name or f"run-{spec.key()[:12]}.jsonl"
         tracer = JsonlTracer(
-            os.path.join(spec.obs.trace_dir, name),
-            meta={
-                "spec_key": spec.key(),
-                "scenario": spec.scenario.name,
-                "monitor": spec.monitor.label,
-            },
+            os.path.join(spec.obs.trace_dir, spec.obs.trace_name or name), meta=meta
         )
     try:
-        result = run_overload_experiment(
+        return run_overload_experiment(
             ts,
             spec.scenario.build(),
             spec.monitor,
@@ -116,39 +109,38 @@ def run_spec(
             level_c_budgets=spec.level_c_budgets,
             tracer=tracer,
             traffic=spec.traffic,
+            **options,
         )
     finally:
         if tracer is not None:
             tracer.close()
+
+
+def run_spec(
+    spec: RunSpec, tasksets: Optional[Dict[TaskSetSpec, TaskSet]] = None
+) -> RunResult:
+    """Execute one sweep cell in the sharing scope *tasksets*.
+
+    Custom monitor kinds must be registered at *import* time of a module
+    pool workers also import — with the default ``fork`` start method on
+    Linux, anything registered in the parent is simply inherited.  A
+    traced run streams its events to ``<trace_dir>/run-<key
+    prefix>.jsonl``; tracing is observation only.
+    """
+    result = simulate_spec(
+        spec,
+        tasksets,
+        lambda: (
+            f"run-{spec.key()[:12]}.jsonl",
+            {
+                "spec_key": spec.key(),
+                "scenario": spec.scenario.name,
+                "monitor": spec.monitor.label,
+            },
+        ),
+    )
     assert isinstance(result, RunResult)
     return result
-
-
-def _iter_timed(specs: Sequence[RunSpec]) -> Iterator[Tuple[RunResult, int]]:
-    """Yield ``(result, wall_ns)`` per cell, in order, in one sharing scope.
-
-    A generator so streaming consumers (progress ticks) see each cell as
-    it finishes.  The first cell of a task set pays its materialization
-    inside its wall time; later cells of the same task set don't —
-    per-cell wall times are diagnostics, not part of any result
-    artifact.
-    """
-    tasksets: Dict[TaskSetSpec, TaskSet] = {}
-    for spec in specs:
-        t0 = time.perf_counter_ns()
-        result = run_spec(spec, tasksets)
-        yield result, time.perf_counter_ns() - t0
-
-
-def _timed_slice(specs: Sequence[RunSpec]) -> List[Tuple[RunResult, int]]:
-    """One pool task: a slice of cells in its own sharing scope.
-
-    Module-level and list-returning so it pickles cleanly as a
-    process-pool task (generators don't cross the process boundary);
-    per-cell timing happens on the worker side and rides home with the
-    results.
-    """
-    return list(_iter_timed(specs))
 
 
 @dataclass(frozen=True)
@@ -275,21 +267,28 @@ class SweepExecutor:
         """Simulate *specs*, in order, reporting ``(result, wall_ns)`` per cell."""
         raise NotImplementedError
 
+    def _run_local(
+        self, specs: Sequence[RunSpec], jobs: int, chunksize: Optional[int] = None
+    ) -> List[Tuple[RunResult, int]]:
+        """:meth:`_execute` in this process or on a pool of *jobs* processes,
+        through :func:`~repro.runtime.shard.run_local`."""
+        # Imported lazily: shard builds on this module.
+        from repro.runtime.shard import get_kind, run_local
+
+        rows, self._degradation = run_local(
+            get_kind("sweep"),
+            specs,
+            jobs,
+            chunksize,
+            on_cell=lambda row: self._cell_finished(row[2]),
+        )
+        return [(result, wall_ns) for result, _cached, wall_ns in rows]
+
     def _cell_finished(self, wall_ns: int) -> None:
         """Backend hook: one cell just finished simulating."""
         self.metrics.histogram("executor.cell.ns").record(wall_ns)
         if self.progress is not None:
             self.progress.cell_done(cached=False)
-
-    def _execute_in_process(
-        self, specs: Sequence[RunSpec]
-    ) -> List[Tuple[RunResult, int]]:
-        """Simulate *specs* here, in order, in one sharing scope."""
-        out: List[Tuple[RunResult, int]] = []
-        for timed in _iter_timed(specs):
-            self._cell_finished(timed[1])
-            out.append(timed)
-        return out
 
     def run(self, specs: Sequence[RunSpec]) -> List[RunResult]:
         """Results for *specs*, in the same order."""
@@ -412,7 +411,7 @@ class SerialBackend(SweepExecutor):
     """
 
     def _execute(self, specs: Sequence[RunSpec]) -> List[Tuple[RunResult, int]]:
-        return self._execute_in_process(specs)
+        return self._run_local(specs, 1)
 
 
 class ProcessPoolBackend(SweepExecutor):
@@ -449,40 +448,7 @@ class ProcessPoolBackend(SweepExecutor):
         self.chunksize = chunksize
 
     def _execute(self, specs: Sequence[RunSpec]) -> List[Tuple[RunResult, int]]:
-        if len(specs) <= 1 or self.jobs == 1:
-            # Not worth a pool; also keeps single-cell CLI runs fork-free.
-            return self._execute_in_process(specs)
-        per = self.chunksize
-        if per is None:
-            per = max(1, -(-len(specs) // (4 * self.jobs)))
-        slices = [specs[i : i + per] for i in range(0, len(specs), per)]
-
-        def _slice_done(timed_slice: List[Tuple[RunResult, int]]) -> None:
-            for timed in timed_slice:
-                self._cell_finished(timed[1])
-
-        # Each pool task is one contiguous slice; map yields slices in
-        # submission order as they land, so flattening restores the cell
-        # order and progress ticks stream in while later slices still
-        # run.  The resilient wrapper absorbs worker deaths (retry, then
-        # serial).
-        nested, deg = map_pool_resilient(
-            _timed_slice,
-            slices,
-            min(self.jobs, len(slices)),
-            1,
-            on_result=_slice_done,
-        )
-        # map_pool_resilient counts slices; SweepStats counts cells.  The
-        # re-run slices are always the trailing ones.
-        self._degradation = PoolDegradation(
-            retried=sum(len(s) for s in slices[len(slices) - deg.retried :]),
-            serial_fallback=sum(
-                len(s) for s in slices[len(slices) - deg.serial_fallback :]
-            ),
-            breaks=deg.breaks,
-        )
-        return [timed for timed_slice in nested for timed in timed_slice]
+        return self._run_local(specs, self.jobs, self.chunksize)
 
 
 def make_executor(

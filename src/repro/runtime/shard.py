@@ -62,6 +62,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import fcntl
+import functools
 import hashlib
 import json
 import os
@@ -92,7 +93,7 @@ from repro.faults.campaign import (
 )
 from repro.obs.report import ShardReport
 from repro.runtime.cache import ResultCache
-from repro.runtime.executor import PoolDegradation, SweepExecutor, run_spec
+from repro.runtime.executor import PoolDegradation, SweepExecutor, map_pool_resilient, run_spec
 from repro.runtime.spec import RunSpec
 from repro.util.atomicio import atomic_write_text, atomic_writer
 
@@ -110,6 +111,7 @@ __all__ = [
     "ShardedCampaign",
     "CampaignStore",
     "get_kind",
+    "run_local",
     "WorkStats",
     "work",
     "run_workers",
@@ -164,47 +166,96 @@ class _Kind:
     cell_key: Callable[[Any], str]
     cell_to_dict: Callable[[Any], Dict[str, Any]]
     cell_from_dict: Callable[[Dict[str, Any]], Any]
-    #: Execute one cell, returning its JSON-ready result document;
-    #: ``execute(cell, tasksets=None)`` with an optional task-set
-    #: sharing scope (see :func:`repro.runtime.executor.run_spec`).
-    execute: Callable[..., Dict[str, Any]]
+    #: ``execute(cell, tasksets=None)``: the cell's result object
+    #: (``RunResult`` / ``CellOutcome``), in an optional sharing scope.
+    execute: Callable[..., Any]
+    #: A result's JSON-ready document (manifests, wire, digests).
+    result_to_dict: Callable[[Any], Dict[str, Any]]
     #: Whether cells can be served from / written to a ResultCache.
     cacheable: bool
 
     def run_cells(
         self,
         cells: Sequence[Any],
-        keys: Sequence[str],
-        cache: Optional[ResultCache],
-    ) -> Iterator[Tuple[Dict[str, Any], bool, int]]:
-        """Yield ``(doc, cached, wall_ns)`` per cell, in order.
+        keys: Optional[Sequence[str]] = None,
+        cache: Optional[ResultCache] = None,
+    ) -> Iterator[Tuple[Any, bool, int]]:
+        """Yield ``(result, cached, wall_ns)`` per cell, in order.
 
-        The one per-cell loop of every campaign executor (file-queue
-        shards, service lease grants): cache lookup, then execution in
-        one task-set sharing scope for the whole call, then cache
-        write-back, with ``wall_ns`` timed around all three.  A cell
-        with an empty key bypasses the cache.  A generator, so callers
-        heartbeat and report after every cell.
+        The one per-cell loop of every executor: cache lookup, execution
+        in one task-set sharing scope for the whole call, cache
+        write-back, with ``wall_ns`` timed around the three.  Without
+        *keys*, or for an empty key, the cache is bypassed.  A generator,
+        so callers heartbeat and report after every cell.
         """
         tasksets: Dict[Any, Any] = {}
-        use_cache = self.cacheable and cache is not None
-        for cell, key in zip(cells, keys):
+        use_cache = self.cacheable and cache is not None and keys is not None
+        for i, cell in enumerate(cells):
             t0 = time.perf_counter_ns()
-            doc: Optional[Dict[str, Any]] = None
-            if use_cache and key:
-                hit = cache.get(key)
-                if hit is not None:
-                    from repro.io.results_json import run_result_to_dict
+            key = keys[i] if use_cache else ""  # type: ignore[index]
+            result = cache.get(key) if key else None  # type: ignore[union-attr]
+            cached = result is not None
+            if result is None:
+                result = self.execute(cell, tasksets)
+                if key:
+                    cache.put(key, self.cell_to_dict(cell), result)  # type: ignore[union-attr]
+            yield result, cached, time.perf_counter_ns() - t0
 
-                    doc = run_result_to_dict(hit)
-            cached = doc is not None
-            if doc is None:
-                doc = self.execute(cell, tasksets)
-                if use_cache and key:
-                    from repro.io.results_json import run_result_from_dict
 
-                    cache.put(key, self.cell_to_dict(cell), run_result_from_dict(doc))
-            yield doc, cached, time.perf_counter_ns() - t0
+def _run_slice(kind_name: str, cells: Sequence[Any]) -> List[Tuple[Any, bool, int]]:
+    """One pool task of :func:`run_local`: a slice in its own sharing
+    scope (module-level and list-returning, so it pickles)."""
+    return list(_KINDS[kind_name].run_cells(cells))
+
+
+def run_local(
+    kind: _Kind,
+    cells: Sequence[Any],
+    jobs: int = 1,
+    chunksize: Optional[int] = None,
+    on_cell: Optional[Callable[[Tuple[Any, bool, int]], None]] = None,
+) -> Tuple[List[Tuple[Any, bool, int]], PoolDegradation]:
+    """The slice runner of the in-memory executors (sweep backends,
+    :func:`repro.faults.campaign.run_campaign`): *cells*' ``(result,
+    cached, wall_ns)`` rows in order, and the pool's degradation in cells.
+
+    ``jobs <= 1`` or one cell: one :meth:`_Kind.run_cells` call here.
+    Otherwise slices of *chunksize* cells (default
+    ``ceil(n / (4 * jobs))``: amortized dispatch, balanced load), each
+    one pool task and sharing scope, run through
+    :func:`~repro.runtime.executor.map_pool_resilient`.  *on_cell* gets
+    each row as it lands here, or as its slice lands.
+    """
+
+    def landed(rows: List[Tuple[Any, bool, int]]) -> None:
+        if on_cell is not None:
+            for row in rows:
+                on_cell(row)
+
+    cells = list(cells)
+    if jobs <= 1 or len(cells) <= 1:
+        rows: List[Tuple[Any, bool, int]] = []
+        for row in kind.run_cells(cells):
+            rows.append(row)
+            landed([row])
+        return rows, PoolDegradation()
+    per = chunksize if chunksize is not None else -(-len(cells) // (4 * jobs))
+    slices = [cells[i : i + per] for i in range(0, len(cells), per)]
+    nested, deg = map_pool_resilient(
+        functools.partial(_run_slice, kind.name),
+        slices,
+        min(jobs, len(slices)),
+        1,
+        on_result=landed,
+    )
+    # map_pool_resilient counts slices; the re-run slices are always the
+    # trailing ones.
+    degradation = PoolDegradation(
+        retried=sum(len(s) for s in slices[len(slices) - deg.retried :]),
+        serial_fallback=sum(len(s) for s in slices[len(slices) - deg.serial_fallback :]),
+        breaks=deg.breaks,
+    )
+    return [row for slice_rows in nested for row in slice_rows], degradation
 
 
 def _sweep_cell_to_dict(spec: RunSpec) -> Dict[str, Any]:
@@ -219,27 +270,22 @@ def _sweep_cell_from_dict(doc: Dict[str, Any]) -> RunSpec:
     return runspec_from_dict(doc)
 
 
-def _sweep_execute(
-    spec: RunSpec, tasksets: Optional[Dict[Any, Any]] = None
-) -> Dict[str, Any]:
+def _sweep_result_to_dict(result: RunResult) -> Dict[str, Any]:
     from repro.io.results_json import run_result_to_dict
 
-    return run_result_to_dict(run_spec(spec, tasksets))
+    return run_result_to_dict(result)
 
 
-def _faults_execute(
-    cell: CampaignCell, tasksets: Optional[Dict[Any, Any]] = None
-) -> Dict[str, Any]:
-    return run_cell(cell, tasksets).to_dict()
-
-
+# The execute entries look run_spec / run_cell up at call time, so a
+# wrapper installed on this module's names sees every cell.
 _KINDS: Dict[str, _Kind] = {
     "sweep": _Kind(
         name="sweep",
         cell_key=lambda spec: spec.key(),
         cell_to_dict=_sweep_cell_to_dict,
         cell_from_dict=_sweep_cell_from_dict,
-        execute=_sweep_execute,
+        execute=lambda spec, tasksets=None: run_spec(spec, tasksets),
+        result_to_dict=_sweep_result_to_dict,
         cacheable=True,
     ),
     "faults": _Kind(
@@ -247,7 +293,8 @@ _KINDS: Dict[str, _Kind] = {
         cell_key=lambda cell: cell.key(),
         cell_to_dict=lambda cell: cell.to_dict(),
         cell_from_dict=CampaignCell.from_dict,
-        execute=_faults_execute,
+        execute=lambda cell, tasksets=None: run_cell(cell, tasksets),
+        result_to_dict=lambda outcome: outcome.to_dict(),
         cacheable=False,
     ),
 }
@@ -509,7 +556,8 @@ class CampaignStore:
         lease_ttl: float,
         clock: Callable[[], float] = time.monotonic,
     ) -> bool:
-        """Claim *shard_id*: fresh lease, or steal one whose heartbeat expired.
+        """Claim *shard_id*: a fresh lease, a renewal of the caller's own,
+        or a steal of one that is not live (:meth:`live_owner`).
 
         Of several owners claiming one free or expired lease, exactly
         one wins.  A live owner that was only slow can still lose its
@@ -547,9 +595,10 @@ class CampaignStore:
         existing = self.read_lease(shard_id)
         if existing is not None:
             if existing.get("owner") == owner:
+                # Re-acquiring one's own lease renews it, expired or not.
+                self.heartbeat(shard_id, owner, clock)
                 return True
-            beat = float(existing.get("heartbeat", 0.0))
-            if now - beat <= lease_ttl:
+            if _lease_live(existing, lease_ttl, now):
                 return False
         # Expired (or torn) lease: steal it under the steal lock, unless
         # another thief replaced it between our read and the lock.
@@ -562,6 +611,17 @@ class CampaignStore:
             return True
         finally:
             os.close(fd)  # releases the lock
+
+    def live_owner(
+        self, shard_id: str, lease_ttl: float, clock: Callable[[], float] = time.monotonic
+    ) -> Optional[str]:
+        """The owner of *shard_id*'s live lease (last heartbeat on *clock*
+        at most *lease_ttl* old), or ``None``.  The one TTL rule: steals,
+        the coordinator's heartbeat verdicts and leased counts use it."""
+        lease = self.read_lease(shard_id)
+        if lease is None or not _lease_live(lease, lease_ttl, clock()):
+            return None
+        return str(lease.get("owner", ""))
 
     def heartbeat(
         self, shard_id: str, owner: str, clock: Callable[[], float] = time.monotonic
@@ -577,12 +637,20 @@ class CampaignStore:
 
     def release(self, shard_id: str, owner: str) -> None:
         existing = self.read_lease(shard_id)
-        if existing is None or existing.get("owner") != owner:
-            return
+        if existing is not None and existing.get("owner") == owner:
+            self.drop_lease(shard_id)
+
+    def drop_lease(self, shard_id: str) -> None:
+        """Delete *shard_id*'s lease, whoever holds it."""
         try:
             os.unlink(self.lease_path(shard_id))
         except OSError:
             pass
+
+
+def _lease_live(lease: Dict[str, Any], lease_ttl: float, now: float) -> bool:
+    """Whether *lease*'s last heartbeat is at most *lease_ttl* before *now*."""
+    return now - float(lease.get("heartbeat", 0.0)) <= lease_ttl
 
 
 # ----------------------------------------------------------------------
@@ -638,21 +706,19 @@ def _execute_shard(
     cached_flags: List[bool] = []
     wall: List[int] = []
     t_shard = time.perf_counter_ns()
-    for doc, was_cached, wall_ns in kind.run_cells(
+    for result, was_cached, wall_ns in kind.run_cells(
         campaign.cells[shard.start : shard.stop],
         campaign.cell_keys[shard.start : shard.stop],
         cache,
     ):
-        results.append(doc)
+        results.append(kind.result_to_dict(result))
         cached_flags.append(was_cached)
         wall.append(wall_ns)
         store.heartbeat(shard.shard_id, owner, clock)
         if on_cell is not None:
             on_cell(was_cached)
         if telemetry is not None:
-            telemetry.cell_done(
-                was_cached, events=int(doc.get("events", 0)), wall_ns=wall_ns
-            )
+            telemetry.cell_done(was_cached, events=result.events, wall_ns=wall_ns)
     store.write_manifest(
         campaign,
         shard,

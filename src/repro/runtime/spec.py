@@ -321,6 +321,13 @@ class RunSpec:
             raise ValueError(f"horizon must be positive, got {self.horizon}")
         if self.confirm_window < 0:
             raise ValueError(f"confirm_window must be >= 0, got {self.confirm_window}")
+        # Refused when built or decoded, not at attach_monitor inside the
+        # run: plain GEL (no virtual clock) supports only the "none" monitor.
+        if not self.kernel.use_virtual_time and self.monitor.kind != "none":
+            raise ValueError(
+                "active monitors require use_virtual_time=True; the plain-GEL "
+                "baseline only supports the 'none' monitor"
+            )
         store_floats(self, "horizon", "confirm_window")
 
     def canonical_json(self) -> str:

@@ -9,9 +9,10 @@ One coordinator process owns a campaign *root* (the same layout
   on-disk truth is identical to a file-queue campaign and every
   file-based tool (``sweep status``, ``status``, ``top``, ``resume``)
   keeps working against the serve root;
-* ``lease`` grants shards in campaign order with an in-memory
-  (monotonic-clock) TTL, mirrored into the directory's lease files so
-  file-based observers see ownership;
+* ``lease`` grants shards in campaign order through the file queue's
+  own lease files (:class:`~repro.runtime.shard.CampaignStore`, on the
+  coordinator's monotonic clock), the one lease table both use; a
+  restarted coordinator drops every lease of the campaigns it loads;
 * streamed ``cell_result`` messages are buffered per shard **and
   journaled** (``<root>/coordinator.journal``, one ``O_APPEND`` NDJSON
   line per cell) so a coordinator crash mid-stream loses nothing a
@@ -60,13 +61,6 @@ __all__ = ["JOURNAL_NAME", "Coordinator", "serve"]
 JOURNAL_NAME = "coordinator.journal"
 
 
-
-@dataclass
-class _Lease:
-    owner: str
-    deadline: float  # monotonic
-
-
 def _provenance_sibling(state: "_CampaignState") -> pathlib.Path:
     from repro.provenance import provenance_path
 
@@ -84,13 +78,12 @@ def _provenance_doc(state: "_CampaignState") -> Dict[str, Any]:
 
 @dataclass
 class _CampaignState:
-    """One registered campaign: durable store + volatile lease/buffer state."""
+    """One registered campaign: durable store (leases included) + buffers."""
 
     campaign: ShardedCampaign
     cdir: pathlib.Path
     store: CampaignStore
     done: Set[str] = field(default_factory=set)
-    leases: Dict[str, _Lease] = field(default_factory=dict)
     #: shard_id -> {campaign cell position -> (doc, cached, wall_ns)}.
     buffers: Dict[str, Dict[int, Tuple[Dict[str, Any], bool, int]]] = field(
         default_factory=dict
@@ -169,16 +162,13 @@ class Coordinator:
         made it into the journal is committed to its manifest right
         here (owner ``"recovered"`` — owners never enter merged
         artifacts), so a crash between the last ``cell_result`` and the
-        manifest write costs nothing.
+        manifest write costs nothing.  Every lease of a loaded campaign
+        is dropped: a restarted coordinator holds none.
         """
         for cdir in iter_campaign_dirs(self.root):
-            store = CampaignStore(cdir)
-            campaign = store.load()
-            state = _CampaignState(campaign=campaign, cdir=cdir, store=store)
-            state.done = {
-                s.shard_id for s in campaign.shards if store.shard_done(s)
-            }
-            self.campaigns[campaign.campaign_key] = state
+            state = self._register(CampaignStore(cdir).load(), cdir)
+            for shard in state.campaign.shards:
+                state.store.drop_lease(shard.shard_id)
         try:
             fh = open(self.journal_path, "r", encoding="utf-8")
         except OSError:
@@ -235,6 +225,14 @@ class Coordinator:
             if state.complete:
                 self._merge(state)
 
+    def _register(self, campaign: ShardedCampaign, cdir: pathlib.Path) -> _CampaignState:
+        """Track *campaign* (stored in *cdir*); its manifests say what is done."""
+        store = CampaignStore(cdir)
+        state = _CampaignState(campaign=campaign, cdir=cdir, store=store)
+        state.done = {s.shard_id for s in campaign.shards if store.shard_done(s)}
+        self.campaigns[campaign.campaign_key] = state
+        return state
+
     def _commit_shard(
         self, state: _CampaignState, shard: ShardSpec, owner: str, shard_wall_ns: int
     ) -> None:
@@ -253,9 +251,7 @@ class Coordinator:
                        "s": shard.shard_id})
         state.done.add(shard.shard_id)
         state.buffers.pop(shard.shard_id, None)
-        lease = state.leases.pop(shard.shard_id, None)
-        if lease is not None:
-            state.store.release(shard.shard_id, lease.owner)
+        state.store.drop_lease(shard.shard_id)
 
     def _merge(self, state: _CampaignState) -> pathlib.Path:
         if state.campaign.kind == "faults":
@@ -298,7 +294,9 @@ class Coordinator:
         writer = self._writer(state)
         divergent: List[int] = []
         for pos in positions:
-            expected = doc_digest(kind.execute(state.campaign.cells[pos]))
+            expected = doc_digest(
+                kind.result_to_dict(kind.execute(state.campaign.cells[pos]))
+            )
             ok = doc_digest(buf[pos][0]) == expected
             writer.cell_verified(ok)
             if not ok:
@@ -313,7 +311,7 @@ class Coordinator:
     ) -> wire.Message:
         """Reject a shard that failed verification and bar its worker.
 
-        The buffered results are dropped and the lease released, so the
+        The buffered results and the shard's lease are dropped, so the
         shard goes back into the grantable pool for honest workers; the
         quarantine is journaled so a coordinator restart keeps the
         worker barred.
@@ -323,9 +321,7 @@ class Coordinator:
             "s": shard.shard_id, "owner": owner, "p": bad,
         })
         state.buffers.pop(shard.shard_id, None)
-        lease = state.leases.pop(shard.shard_id, None)
-        if lease is not None:
-            state.store.release(shard.shard_id, lease.owner)
+        state.store.drop_lease(shard.shard_id)
         if owner:
             self.quarantined_owners.add(owner)
         state.quarantined += 1
@@ -377,15 +373,9 @@ class Coordinator:
             return wire.ErrorReply(reason=f"bad campaign document: {exc}")
         created = campaign.campaign_key not in self.campaigns
         if created:
-            cdir = prepare_campaign(self.root, campaign)
-            store = CampaignStore(cdir)
-            state = _CampaignState(campaign=campaign, cdir=cdir, store=store)
-            state.done = {
-                s.shard_id for s in campaign.shards if store.shard_done(s)
-            }
-            self.campaigns[campaign.campaign_key] = state
+            state = self._register(campaign, prepare_campaign(self.root, campaign))
             self._journal({"ev": "campaign", "key": campaign.campaign_key,
-                           "dir": cdir.name})
+                           "dir": state.cdir.name})
             if state.complete:
                 self._merge(state)
         state = self.campaigns[campaign.campaign_key]
@@ -396,54 +386,42 @@ class Coordinator:
             created=created,
         )
 
-    def _grantable(self, state: _CampaignState, now: float) -> Optional[ShardSpec]:
-        for shard in state.campaign.shards:
-            if shard.shard_id in state.done:
-                continue
-            lease = state.leases.get(shard.shard_id)
-            if lease is not None and lease.deadline > now:
-                continue
-            return shard
-        return None
+    def _live_owner(self, state: _CampaignState, shard_id: str) -> Optional[str]:
+        """The owner of the shard's live lease (the store's TTL rule)."""
+        return state.store.live_owner(shard_id, self.lease_ttl, self._mono)
 
     def _on_lease(self, msg: wire.LeaseRequest) -> wire.Message:
+        """Grant the first incomplete shard, in campaign order, whose lease
+        is not live and which :meth:`CampaignStore.try_acquire` wins."""
         if msg.owner and msg.owner in self.quarantined_owners:
             return wire.NoWork(active=0, drained=False, quarantined=True)
-        now = self._mono()
         active = 0
         for key in sorted(self.campaigns):
             state = self.campaigns[key]
             if state.complete:
                 continue
             active += 1
-            shard = self._grantable(state, now)
-            if shard is None:
-                continue
-            stolen = state.leases.get(shard.shard_id)
-            if stolen is not None:
-                state.store.release(shard.shard_id, stolen.owner)
-            state.leases[shard.shard_id] = _Lease(
-                owner=msg.owner, deadline=now + self.lease_ttl
-            )
-            # Mirror into the directory's lease file so file-based
-            # status/top show ownership; best-effort only.
-            state.store.try_acquire(shard.shard_id, msg.owner, self.lease_ttl)
-            campaign = state.campaign
-            kind = campaign.kind
-            to_dict = get_kind(kind).cell_to_dict
-            return wire.LeaseGrant(
-                campaign=campaign.campaign_key,
-                shard=shard.shard_id,
-                index=shard.index,
-                start=shard.start,
-                stop=shard.stop,
-                kind=kind,
-                cells=[to_dict(campaign.cells[p])
-                       for p in range(shard.start, shard.stop)],
-                cell_keys=list(campaign.cell_keys[shard.start:shard.stop]),
-                meta=dict(campaign.meta),
-                ttl=self.lease_ttl,
-            )
+            for shard in state.campaign.shards:
+                sid = shard.shard_id
+                if sid in state.done or self._live_owner(state, sid) is not None:
+                    continue
+                if not state.store.try_acquire(sid, msg.owner, self.lease_ttl, self._mono):
+                    continue
+                campaign = state.campaign
+                to_dict = get_kind(campaign.kind).cell_to_dict
+                return wire.LeaseGrant(
+                    campaign=campaign.campaign_key,
+                    shard=shard.shard_id,
+                    index=shard.index,
+                    start=shard.start,
+                    stop=shard.stop,
+                    kind=campaign.kind,
+                    cells=[to_dict(campaign.cells[p])
+                           for p in range(shard.start, shard.stop)],
+                    cell_keys=list(campaign.cell_keys[shard.start:shard.stop]),
+                    meta=dict(campaign.meta),
+                    ttl=self.lease_ttl,
+                )
         return wire.NoWork(active=active, drained=active == 0)
 
     def _on_cell(self, msg: wire.CellResult) -> wire.Message:
@@ -511,14 +489,9 @@ class Coordinator:
 
     def _on_heartbeat(self, msg: wire.Heartbeat) -> wire.Message:
         state = self.campaigns.get(msg.campaign)
-        if state is None:
+        if state is None or self._live_owner(state, msg.shard) != msg.owner:
             return wire.HeartbeatOk(valid=False)
-        lease = state.leases.get(msg.shard)
-        now = self._mono()
-        if lease is None or lease.owner != msg.owner or lease.deadline <= now:
-            return wire.HeartbeatOk(valid=False)
-        lease.deadline = now + self.lease_ttl
-        state.store.heartbeat(msg.shard, msg.owner)
+        state.store.heartbeat(msg.shard, msg.owner, self._mono)
         return wire.HeartbeatOk(valid=True)
 
     def _on_telemetry(self, msg: wire.Telemetry) -> wire.Message:
@@ -534,7 +507,6 @@ class Coordinator:
         return wire.TelemetryOk()
 
     def _on_jobs(self) -> wire.Message:
-        now = self._mono()
         docs = []
         for key in sorted(self.campaigns):
             state = self.campaigns[key]
@@ -545,7 +517,9 @@ class Coordinator:
                 "shards": len(state.campaign.shards),
                 "shards_done": len(state.done),
                 "leased": sum(
-                    1 for lease in state.leases.values() if lease.deadline > now
+                    self._live_owner(state, s.shard_id) is not None
+                    for s in state.campaign.shards
+                    if s.shard_id not in state.done
                 ),
                 "merged": state.store.merged_path.is_file(),
                 "quarantined": state.quarantined,

@@ -158,16 +158,16 @@ class WorkerClient:
         rows: List[Tuple[int, Dict[str, Any], bool, int]] = []
         writer = self._telemetry_writer(grant)
         try:
-            for doc, was_cached, wall_ns in kind.run_cells(cells, keys, self.cache):
-                rows.append((grant.start + len(rows), doc, was_cached, wall_ns))
+            for result, was_cached, wall_ns in kind.run_cells(cells, keys, self.cache):
+                rows.append(
+                    (grant.start + len(rows), kind.result_to_dict(result), was_cached, wall_ns)
+                )
                 if was_cached:
                     self.cache_hits += 1
                 else:
                     self.cells_run += 1
                 if writer is not None:
-                    writer.cell_done(
-                        was_cached, events=int(doc.get("events", 0)), wall_ns=wall_ns
-                    )
+                    writer.cell_done(was_cached, events=result.events, wall_ns=wall_ns)
         finally:
             if writer is not None:
                 writer.close()

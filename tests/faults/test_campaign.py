@@ -12,6 +12,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.experiments.traffic import poisson_traffic
 from repro.faults.campaign import (
     CampaignCell,
     CampaignConfig,
@@ -19,10 +20,13 @@ from repro.faults.campaign import (
     Scorecard,
     build_campaign,
     run_campaign,
+    run_cell,
 )
-from repro.faults.spec import ClockSkew, CpuStall, FaultPlan
-from repro.runtime.executor import PoolDegradation
-from repro.runtime.spec import KernelSpec, MonitorSpec
+from repro.faults.spec import ClockSkew, CpuStall, ExecutionSpike, FaultPlan
+from repro.runtime.executor import PoolDegradation, run_spec
+from repro.runtime.spec import KernelSpec, MonitorSpec, RunSpec, ScenarioSpec, TaskSetSpec
+from repro.workload.generator import GeneratorParams
+from repro.workload.scenarios import CALM
 
 @pytest.fixture(scope="module")
 def cells(small_spec, make_cell):
@@ -95,7 +99,7 @@ class TestCellValidation:
             CampaignCell(run=spec, plan=plan)
         # A stored cell is refused on decode, before anything runs.
         doc = CampaignCell(run=small_spec, plan=plan).to_dict()
-        doc["run"]["kernel"]["use_virtual_time"] = False
+        doc["run"] = CampaignCell(run=spec, plan=FaultPlan()).to_dict()["run"]
         with pytest.raises(ValueError, match="ClockSkew requires use_virtual_time=True"):
             CampaignCell.from_dict(doc)
 
@@ -105,6 +109,52 @@ class TestCellValidation:
             run=spec, plan=FaultPlan((CpuStall(cpu=0, start=1.0, end=2.0),), seed=1)
         )
         assert cell.key()
+
+
+class TestOneRunBody:
+    """run_cell runs its spec exactly as run_spec does, traffic included."""
+
+    def test_traffic_cell_equals_run_spec(self):
+        spec = RunSpec(
+            taskset=TaskSetSpec.generated(7, GeneratorParams(m=4)),
+            scenario=ScenarioSpec.from_scenario(CALM),
+            monitor=MonitorSpec("simple", 0.6),
+            kernel=KernelSpec(record_intervals=True),
+            horizon=10.0,
+            traffic=poisson_traffic(0.45, 4, seed=1),
+        )
+        result = run_spec(spec)
+        outcome = run_cell(CampaignCell(run=spec, plan=FaultPlan()))
+        assert result.episodes > 0  # the traffic alone overloads the platform
+        for name in (
+            "dissipation", "truncated", "min_speed", "miss_count", "episodes",
+            "sim_end", "events",
+        ):
+            assert getattr(outcome, name) == getattr(result, name), name
+        # Judged against the task set the kernel ran, server tasks included.
+        assert "gel_order" in outcome.checked
+        assert outcome.violations == ()
+
+
+class TestOraclesReadRows:
+    def test_run_cell_builds_no_record(self, small_spec, make_cell, monkeypatch):
+        import repro.sim.trace as trace_mod
+
+        def refuse(rows):
+            raise AssertionError("a trace record was built")
+
+        expected = run_cell(
+            make_cell(
+                small_spec,
+                ExecutionSpike(1.0, 2.0, factor=1.5),
+                CpuStall(cpu=0, start=2.0, end=3.0),
+            )
+        )
+        monkeypatch.setattr(trace_mod, "_job_records", refuse)
+        monkeypatch.setattr(trace_mod, "_interval_records", refuse)
+        outcome = run_cell(expected.cell)
+        assert outcome == expected
+        assert {"ab_isolation", "gel_order", "recovery_exit"} <= set(outcome.checked)
 
 
 class TestBackendEquivalence:

@@ -3,6 +3,7 @@
 
 from __future__ import annotations
 
+from dataclasses import astuple
 from types import SimpleNamespace
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -25,19 +26,39 @@ from repro.faults.plane import FAULT_TASK_BASE_ID
 from repro.model.job import Job
 from repro.model.task import CriticalityLevel
 from repro.model.taskset import TaskSet
-from repro.sim.trace import Trace
+from repro.sim.trace import ExecutionInterval, JobRecord, Trace
 from tests.conftest import make_c_task
 
 
 def _job(level, task_id, index, release, completion, virtual_pp=None):
-    return SimpleNamespace(
-        level=level,
+    return JobRecord(
         task_id=task_id,
+        level=level,
         index=index,
         release=release,
+        exec_time=0.0,
         completion=completion,
+        actual_pp=None,
         virtual_pp=virtual_pp,
     )
+
+
+def _interval(task_id, job_index, start, end):
+    return ExecutionInterval(
+        cpu=0, task_id=task_id, job_index=job_index, start=start, end=end
+    )
+
+
+def _trace(jobs, intervals=(), rows=0):
+    """A hand-built trace: the first *rows* jobs and intervals recorded
+    as rows (as the kernels do), the rest appended to ``jobs`` /
+    ``intervals`` from outside."""
+    trace = Trace(record_intervals=True)
+    trace.job_rows.extend(astuple(j) for j in jobs[:rows])
+    trace.interval_rows.extend(astuple(iv) for iv in intervals[:rows])
+    trace.jobs.extend(jobs[rows:])
+    trace.intervals.extend(intervals[rows:])
+    return trace
 
 
 class _FakeTS:
@@ -77,12 +98,13 @@ class TestCollectorCap:
 
 class TestAbIsolation:
     def test_miss_and_never_completed_flagged(self):
-        trace = SimpleNamespace(
-            jobs=[
+        trace = _trace(
+            [
                 _job(CriticalityLevel.A, 1, 0, release=0.0, completion=1.5),
                 _job(CriticalityLevel.B, 2, 0, release=0.0, completion=None),
                 _job(CriticalityLevel.A, 3, 0, release=0.0, completion=0.9),
-            ]
+            ],
+            rows=1,
         )
         sink = _Collector()
         _check_ab_isolation(trace, _FakeTS(period=1.0), sim_end=10.0, sink=sink)
@@ -90,8 +112,8 @@ class TestAbIsolation:
         assert {v.task for v in sink.violations} == {1, 2}
 
     def test_level_c_and_stall_hogs_exempt(self):
-        trace = SimpleNamespace(
-            jobs=[
+        trace = _trace(
+            [
                 _job(CriticalityLevel.C, 1, 0, release=0.0, completion=5.0),
                 _job(
                     CriticalityLevel.A,
@@ -107,9 +129,7 @@ class TestAbIsolation:
         assert sink.violations == []
 
     def test_incomplete_job_inside_horizon_is_fine(self):
-        trace = SimpleNamespace(
-            jobs=[_job(CriticalityLevel.A, 1, 0, release=9.5, completion=None)]
-        )
+        trace = _trace([_job(CriticalityLevel.A, 1, 0, release=9.5, completion=None)])
         sink = _Collector()
         _check_ab_isolation(trace, _FakeTS(period=1.0), sim_end=10.0, sink=sink)
         assert sink.violations == []
@@ -141,14 +161,6 @@ class TestSpeedBounds:
 
 
 class TestGelOrder:
-    def _trace(self, jobs, intervals):
-        return SimpleNamespace(jobs=jobs, intervals=intervals)
-
-    def _interval(self, task_id, job_index, start, end):
-        return SimpleNamespace(
-            task_id=task_id, job_index=job_index, start=start, end=end
-        )
-
     def test_priority_inversion_detected(self):
         # Job (1,0) has the smaller GEL-v key and waits over (2, 3)
         # while lower-priority (2,0) runs: an inversion.
@@ -157,11 +169,11 @@ class TestGelOrder:
             _job(CriticalityLevel.C, 2, 0, 0.0, 4.0, virtual_pp=9.0),
         ]
         intervals = [
-            self._interval(2, 0, 0.0, 4.0),
-            self._interval(1, 0, 3.0, 5.0),
+            _interval(2, 0, 0.0, 4.0),
+            _interval(1, 0, 3.0, 5.0),
         ]
         sink = _Collector()
-        _check_gel_order(self._trace(jobs, intervals), sink)
+        _check_gel_order(_trace(jobs, intervals, rows=1), sink)
         assert len(sink.violations) >= 1
         assert sink.violations[0].task == 1
 
@@ -171,11 +183,11 @@ class TestGelOrder:
             _job(CriticalityLevel.C, 2, 0, 0.0, 4.0, virtual_pp=9.0),
         ]
         intervals = [
-            self._interval(1, 0, 0.0, 2.0),
-            self._interval(2, 0, 2.0, 4.0),
+            _interval(1, 0, 0.0, 2.0),
+            _interval(2, 0, 2.0, 4.0),
         ]
         sink = _Collector()
-        _check_gel_order(self._trace(jobs, intervals), sink)
+        _check_gel_order(_trace(jobs, intervals, rows=1), sink)
         assert sink.violations == []
 
 
@@ -294,11 +306,10 @@ def level_c_schedules(draw):
     for _ in range(draw(st.integers(min_value=0, max_value=10))):
         tid, idx = draw(st.sampled_from(jids + [(n + 1, 0)]))
         start = draw(grid_times)
-        intervals.append(SimpleNamespace(
-            task_id=tid, job_index=idx, start=start, end=start + draw(grid_times)
-        ))
+        intervals.append(_interval(tid, idx, start, start + draw(grid_times)))
     draw(st.randoms()).shuffle(jobs)  # records arrive in completion order
-    return SimpleNamespace(jobs=jobs, intervals=intervals)
+    # Some recorded as rows, the rest appended from outside.
+    return _trace(jobs, intervals, rows=draw(st.integers(0, len(jobs))))
 
 
 @given(level_c_schedules())

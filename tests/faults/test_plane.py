@@ -20,7 +20,7 @@ from repro.faults.spec import (
     ReleaseJitter,
     SpeedCommandDrop,
 )
-from repro.runtime.spec import KernelSpec, ObsSpec
+from repro.runtime.spec import KernelSpec, MonitorSpec, ObsSpec
 from repro.sim.diffcheck import fingerprint, fingerprint_digest
 
 HORIZON = 20.0  # matches conftest.small_spec
@@ -168,6 +168,7 @@ class TestClockSkew:
     def test_requires_virtual_clock(self, small_spec, make_cell):
         spec = replace(
             small_spec,
+            monitor=MonitorSpec("none", None),
             kernel=KernelSpec(use_virtual_time=False, record_intervals=True),
         )
         with pytest.raises(ValueError, match="use_virtual_time"):

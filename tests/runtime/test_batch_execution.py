@@ -17,7 +17,13 @@ import pathlib
 import pytest
 
 from repro.experiments.traffic import poisson_traffic
-from repro.faults.campaign import CampaignCell, run_cell
+from repro.faults.campaign import (
+    CampaignCell,
+    CampaignConfig,
+    build_campaign,
+    run_campaign,
+    run_cell,
+)
 from repro.faults.spec import ExecutionSpike, FaultPlan
 from repro.io.results_json import run_result_to_dict
 from repro.runtime.cache import ResultCache
@@ -197,6 +203,27 @@ class TestSharingScopes:
         assert materializations() == 2
         worker._execute_grant(grant)  # a new grant is a new scope
         assert materializations() == 4
+
+    def test_in_memory_fault_campaign_serial(self, materializations):
+        cells = build_campaign(
+            CampaignConfig(seed=2015, cells=6, tasksets=2, horizon=3)
+        )
+        assert len(cells) == 11
+        run_campaign(cells)
+        # The whole serial campaign is one scope (once per cell before).
+        assert materializations() == len({c.run.taskset for c in cells}) == 2
+
+    def test_in_memory_fault_campaign_pool(self, tmp_path, materializations):
+        cells = build_campaign(
+            CampaignConfig(seed=2015, cells=6, tasksets=2, horizon=3)
+        )
+        serial = run_campaign(cells).to_json()
+        base = materializations()
+        assert run_campaign(cells, jobs=2).to_json() == serial
+        # Slices of ceil(11 / (4 * 2)) = 2 cells, one scope each.
+        slices = [cells[i : i + 2] for i in range(0, len(cells), 2)]
+        expected = sum(len({c.run.taskset for c in s}) for s in slices)
+        assert materializations() - base == expected < len(cells)
 
     def test_faults_shard_with_baseline(self, tmp_path, materializations):
         cells = fault_cells()

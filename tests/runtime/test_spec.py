@@ -106,6 +106,21 @@ class TestRunSpecValidation:
         d = {make_spec(): 1}
         assert d[make_spec()] == 1
 
+    def test_active_monitor_without_virtual_time_refused(self):
+        # Refused when the spec is built, not at attach_monitor inside
+        # the run: plain GEL supports only the "none" monitor.
+        no_vt = KernelSpec(use_virtual_time=False)
+        for kind, param in (("simple", 0.6), ("adaptive", 0.5)):
+            with pytest.raises(ValueError, match="use_virtual_time=True"):
+                make_spec(monitor=MonitorSpec(kind, param), kernel=no_vt)
+        assert make_spec(monitor=MonitorSpec("none", None), kernel=no_vt).key()
+
+    def test_stored_active_monitor_without_virtual_time_refused(self):
+        doc = runspec_to_dict(make_spec())
+        doc["kernel"]["use_virtual_time"] = False
+        with pytest.raises(ValueError, match="use_virtual_time=True"):
+            runspec_from_dict(doc)
+
 
 class TestCanonicalJson:
     def test_equal_specs_equal_keys(self):

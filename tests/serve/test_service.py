@@ -403,6 +403,34 @@ class TestLeaseSemantics:
         (g3,) = coord.handle(wire.LeaseRequest(owner="c"))
         assert isinstance(g3, wire.LeaseGrant) and g3.shard == g2.shard
 
+    def test_file_queue_lease_is_never_granted(self, grid, tmp_path):
+        # One lease table: a file-queue owner on the serve root (what
+        # `sweep resume <serve root>` does) keeps its shard.
+        root = tmp_path / "serve"
+        coord = Coordinator(root, lease_ttl=60.0)
+        root.mkdir(parents=True, exist_ok=True)
+        coord.recover()
+        campaign = ShardedCampaign("sweep", grid, shard_size=2)
+        coord.handle(wire.Submit(campaign=campaign.to_dict()))
+        store = coord.campaigns[campaign.campaign_key].store
+        first, second = campaign.shards
+        assert store.try_acquire(first.shard_id, "fq-owner", 60.0)
+        (grant,) = coord.handle(wire.LeaseRequest(owner="svc-worker"))
+        assert isinstance(grant, wire.LeaseGrant) and grant.shard == second.shard_id
+        assert store.live_owner(first.shard_id, 60.0) == "fq-owner"
+        (hb,) = coord.handle(wire.Heartbeat(
+            owner="svc-worker", campaign=grant.campaign, shard=first.shard_id))
+        assert not hb.valid
+        (nw,) = coord.handle(wire.LeaseRequest(owner="other"))
+        assert isinstance(nw, wire.NoWork) and not nw.drained
+        (jobs,) = coord.handle(wire.JobsRequest())
+        assert jobs.campaigns[0]["leased"] == 2
+        # A restarted coordinator holds no lease, the file queue's included.
+        reborn = Coordinator(root, lease_ttl=60.0)
+        reborn.recover()
+        assert store.read_lease(first.shard_id) is None
+        assert store.read_lease(second.shard_id) is None
+
     def test_duplicate_and_partial_delivery(self, grid, grid_docs, tmp_path):
         coord, campaign, _ = self._coordinator(tmp_path, grid)
         (grant,) = coord.handle(wire.LeaseRequest(owner="a"))
