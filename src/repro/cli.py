@@ -431,10 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="worker identity (default: host:pid)")
     wk.add_argument("--once", action="store_true",
                     help="exit once every registered campaign is drained "
-                         "(default: keep polling for new campaigns)")
-    wk.add_argument("--poll", type=float, default=0.5, metavar="SEC",
-                    help="idle poll interval when no work is grantable "
-                         "(default: 0.5)")
+                         "(default: keep waiting for new campaigns)")
     wk.add_argument("--cache-dir", metavar="DIR",
                     help="content-addressed result cache for sweep cells")
     wk.add_argument("--telemetry", action="store_true",
@@ -914,8 +911,7 @@ def _cmd_worker(args: argparse.Namespace) -> int:
 
     cache = ResultCache(args.cache_dir) if args.cache_dir else None
     return run_worker(args.connect, owner=args.owner, cache=cache,
-                      telemetry=args.telemetry, poll_s=args.poll,
-                      once=args.once)
+                      telemetry=args.telemetry, once=args.once)
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:

@@ -219,4 +219,10 @@ def run_overload_experiment(
     )
     if keep_artifacts:
         return ExperimentOutput(result=result, trace=trace, kernel=kernel, monitor=monitor)
+    # The kernel holds the monitor and the monitor holds the kernel as
+    # its speed controller.  Cutting that one cycle frees the run's
+    # kernel, trace and behaviours when this returns, instead of at a
+    # later full garbage collection whose timing would set the peak
+    # memory of a batch of cells.
+    monitor.controller = None
     return result

@@ -171,22 +171,30 @@ class ServiceClient:
         return [(doc, cached, wall) for _, doc, cached, wall in cells]
 
     def wait(
-        self,
-        campaign_key: str,
-        poll_s: float = 0.2,
-        timeout_s: Optional[float] = None,
+        self, campaign_key: str, timeout_s: Optional[float] = None
     ) -> Dict[str, Any]:
-        """Block until *campaign_key* has every shard done; returns its row."""
+        """Block until *campaign_key* has every shard done; returns its row.
+
+        Each ``jobs`` request asks the coordinator to hold its reply
+        until the campaign is complete, for at most
+        :data:`~repro.serve.protocol.MAX_WAIT_S`, half the socket
+        timeout, or what is left of *timeout_s*; the row arrives with
+        the final commit.
+        """
         deadline = None if timeout_s is None else time.monotonic() + timeout_s
         while True:
-            for row in self.jobs():
+            wait_s = min(wire.MAX_WAIT_S, self.timeout_s / 2.0)
+            if deadline is not None:
+                wait_s = min(wait_s, max(0.0, deadline - time.monotonic()))
+            request = wire.JobsRequest(wait_for=campaign_key, wait_s=wait_s)
+            reply = self._one(self._rpc(request), wire.JobsReply)
+            for row in reply.campaigns:
                 if row["key"] == campaign_key and row["shards_done"] == row["shards"]:
                     return row
             if deadline is not None and time.monotonic() > deadline:
                 raise TimeoutError(
                     f"campaign {campaign_key[:12]} incomplete after {timeout_s}s"
                 )
-            time.sleep(poll_s)
 
 
 class ServiceBackend(SweepExecutor):
@@ -206,7 +214,6 @@ class ServiceBackend(SweepExecutor):
         self,
         addr: str,
         shard_size: int = 16,
-        poll_s: float = 0.2,
         timeout_s: Optional[float] = None,
         cache=None,
         metrics=None,
@@ -216,7 +223,6 @@ class ServiceBackend(SweepExecutor):
         super().__init__(cache=cache, metrics=metrics, progress=progress)
         self.addr = addr
         self.shard_size = shard_size
-        self.poll_s = poll_s
         self.timeout_s = timeout_s
         self.client = client or ServiceClient(addr)
 
@@ -226,9 +232,7 @@ class ServiceBackend(SweepExecutor):
 
         campaign = ShardedCampaign("sweep", list(specs), shard_size=self.shard_size)
         self.client.submit(campaign.to_dict())
-        self.client.wait(
-            campaign.campaign_key, poll_s=self.poll_s, timeout_s=self.timeout_s
-        )
+        self.client.wait(campaign.campaign_key, timeout_s=self.timeout_s)
         out: List[Tuple[Any, int]] = []
         for doc, _cached, wall_ns in self.client.fetch(campaign.campaign_key):
             out.append((run_result_from_dict(doc), wall_ns))

@@ -12,7 +12,8 @@ One coordinator process owns a campaign *root* (the same layout
 * ``lease`` grants shards in campaign order through the file queue's
   own lease files (:class:`~repro.runtime.shard.CampaignStore`, on the
   coordinator's monotonic clock), the one lease table both use; a
-  restarted coordinator drops every lease of the campaigns it loads;
+  restarted coordinator drops every lease of the campaigns it loads,
+  and a shard a file-queue worker committed is never granted;
 * streamed ``cell_result`` messages are buffered per shard **and
   journaled** (``<root>/coordinator.journal``, one ``O_APPEND`` NDJSON
   line per cell) so a coordinator crash mid-stream loses nothing a
@@ -28,6 +29,15 @@ One coordinator process owns a campaign *root* (the same layout
 Correctness never depends on the lease bookkeeping: cells are
 deterministic, so a lease lost to a network partition or TTL expiry
 costs at most a redundant execution that writes the same bytes.
+
+Nothing polls.  :meth:`Coordinator.handle` answers every request at
+once; the server loop parks a ``lease`` or ``jobs`` request that asked
+to wait (see :mod:`repro.serve.protocol`) and handles it again when a
+campaign is registered, a shard is committed or quarantined, or a
+heartbeat period passes (a lease may have expired), until it can be
+answered or :data:`~repro.serve.protocol.MAX_WAIT_S` runs out.  A peer
+that hangs up while parked is never answered, so no grant goes to a
+dead worker.
 """
 
 from __future__ import annotations
@@ -142,6 +152,14 @@ class Coordinator:
         self.campaigns: Dict[str, _CampaignState] = {}
         self._server: Optional[asyncio.AbstractServer] = None
         self.recovered_shards = 0
+        #: Bumped whenever a parked request may have a new answer: a
+        #: campaign registered, a shard committed or back in the pool.
+        self._changes = 0
+        #: Requests the server loop holds right now.
+        self.parked = 0
+        #: Resolved (and replaced) when ``_changes`` moves; parked
+        #: requests await it.  Created by :meth:`start`.
+        self._wake: Optional[asyncio.Future] = None
 
     # ------------------------------------------------------------------
     # Durability: journal + recovery
@@ -231,6 +249,7 @@ class Coordinator:
         state = _CampaignState(campaign=campaign, cdir=cdir, store=store)
         state.done = {s.shard_id for s in campaign.shards if store.shard_done(s)}
         self.campaigns[campaign.campaign_key] = state
+        self._changes += 1
         return state
 
     def _commit_shard(
@@ -252,6 +271,7 @@ class Coordinator:
         state.done.add(shard.shard_id)
         state.buffers.pop(shard.shard_id, None)
         state.store.drop_lease(shard.shard_id)
+        self._changes += 1
 
     def _merge(self, state: _CampaignState) -> pathlib.Path:
         if state.campaign.kind == "faults":
@@ -322,6 +342,7 @@ class Coordinator:
         })
         state.buffers.pop(shard.shard_id, None)
         state.store.drop_lease(shard.shard_id)
+        self._changes += 1
         if owner:
             self.quarantined_owners.add(owner)
         state.quarantined += 1
@@ -392,20 +413,15 @@ class Coordinator:
 
     def _on_lease(self, msg: wire.LeaseRequest) -> wire.Message:
         """Grant the first incomplete shard, in campaign order, whose lease
-        is not live and which :meth:`CampaignStore.try_acquire` wins."""
+        is not live and which :meth:`_acquire` wins."""
         if msg.owner and msg.owner in self.quarantined_owners:
             return wire.NoWork(active=0, drained=False, quarantined=True)
-        active = 0
         for key in sorted(self.campaigns):
             state = self.campaigns[key]
             if state.complete:
                 continue
-            active += 1
             for shard in state.campaign.shards:
-                sid = shard.shard_id
-                if sid in state.done or self._live_owner(state, sid) is not None:
-                    continue
-                if not state.store.try_acquire(sid, msg.owner, self.lease_ttl, self._mono):
+                if not self._acquire(state, shard, msg.owner):
                     continue
                 campaign = state.campaign
                 to_dict = get_kind(campaign.kind).cell_to_dict
@@ -422,7 +438,31 @@ class Coordinator:
                     meta=dict(campaign.meta),
                     ttl=self.lease_ttl,
                 )
+        active = sum(not state.complete for state in self.campaigns.values())
         return wire.NoWork(active=active, drained=active == 0)
+
+    def _acquire(self, state: _CampaignState, shard: ShardSpec, owner: str) -> bool:
+        """Lease *shard* to *owner* if it is not done and not leased.
+
+        Under the won lease the shard's manifest is checked again, as
+        ``work()`` does: a file-queue worker on this root may have
+        committed it.  Such a shard counts as done (merging the campaign
+        if it was the last) and is not granted.
+        """
+        sid = shard.shard_id
+        if sid in state.done or self._live_owner(state, sid) is not None:
+            return False
+        if not state.store.try_acquire(sid, owner, self.lease_ttl, self._mono):
+            return False
+        if not state.store.shard_done(shard):
+            return True
+        state.store.drop_lease(sid)
+        state.done.add(sid)
+        state.buffers.pop(sid, None)
+        self._changes += 1
+        if state.complete:
+            self._merge(state)
+        return False
 
     def _on_cell(self, msg: wire.CellResult) -> wire.Message:
         state = self.campaigns.get(msg.campaign)
@@ -567,22 +607,89 @@ class Coordinator:
     # ------------------------------------------------------------------
     # asyncio server
     # ------------------------------------------------------------------
+    def _handle_and_wake(self, msg: wire.Message) -> List[wire.Message]:
+        """:meth:`handle`, then wake the parked requests if state moved."""
+        changes = self._changes
+        replies = self.handle(msg)
+        if self._changes != changes:
+            wake = self._wake
+            self._wake = asyncio.get_running_loop().create_future()
+            wake.set_result(None)
+        return replies
+
+    def _waits(self, msg: wire.Message, reply: wire.Message) -> bool:
+        """Whether a parked *msg* has nothing new to say in *reply* yet."""
+        if isinstance(msg, wire.LeaseRequest):
+            return (
+                isinstance(reply, wire.NoWork)
+                and not reply.quarantined
+                and not (msg.once and reply.drained)
+            )
+        if isinstance(msg, wire.JobsRequest) and msg.wait_for:
+            state = self.campaigns.get(msg.wait_for)
+            return state is None or not state.complete
+        return False
+
+    async def _answer(
+        self, msg: wire.Message, read: asyncio.Future
+    ) -> Optional[List[wire.Message]]:
+        """The replies to *msg*, parked while it waits for news.
+
+        *read* is the connection's outstanding read.  ``None`` means the
+        peer hung up while its request was parked: it gets no reply, and
+        in particular no grant.
+        """
+        replies = self._handle_and_wake(msg)
+        budget = min(getattr(msg, "wait_s", 0.0), wire.MAX_WAIT_S)
+        if not budget > 0.0 or not self._waits(msg, replies[0]):
+            return replies
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + budget
+        recheck = wire.heartbeat_period(self.lease_ttl)
+        self.parked += 1
+        try:
+            while self._waits(msg, replies[0]):
+                left = deadline - loop.time()
+                if left <= 0.0:
+                    break
+                await asyncio.wait(
+                    (read, self._wake),
+                    timeout=min(left, recheck),
+                    return_when=asyncio.FIRST_COMPLETED,
+                )
+                if read.done():
+                    if read.exception() is not None or not read.result():
+                        return None
+                    break  # the peer spoke out of turn: answer it now
+                replies = self._handle_and_wake(msg)
+        finally:
+            self.parked -= 1
+        return replies
+
     async def _client_loop(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         decoder = wire.LineDecoder()
+        # The next read is always outstanding while a chunk's requests
+        # are answered, so a parked request sees its peer hang up.
+        read = asyncio.ensure_future(reader.read(65536))
         try:
             while True:
-                data = await reader.read(65536)
+                data = await read
                 if not data:
                     break
+                read = asyncio.ensure_future(reader.read(65536))
                 for msg in decoder.feed(data):
-                    for reply in self.handle(msg):
+                    replies = await self._answer(msg, read)
+                    if replies is None:
+                        return
+                    for reply in replies:
                         writer.write(wire.encode_message(reply))
                 await writer.drain()
         except (ConnectionError, wire.ProtocolError):
             pass  # a worker died or sent garbage; its lease will expire
         finally:
+            read.cancel()
             try:
                 writer.close()
                 await writer.wait_closed()
@@ -592,6 +699,7 @@ class Coordinator:
     async def start(self, port_file: Optional[str] = None) -> int:
         """Bind and start serving; returns the bound port."""
         self.root.mkdir(parents=True, exist_ok=True)
+        self._wake = asyncio.get_running_loop().create_future()
         self.recover()
         self._server = await asyncio.start_server(
             self._client_loop, host=self.host, port=self.port

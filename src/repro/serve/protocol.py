@@ -24,6 +24,24 @@ reply is a stream of ``fetch_cell`` messages closed by ``fetch_done``
 idempotent — cells are deterministic, campaign registration is
 content-addressed, and shard completion is recorded atomically — so a
 client may blindly re-send after a reconnect.
+
+A reply may be *deferred*: a request that asks to wait is parked by the
+coordinator until it has something new to say, and still gets exactly
+one reply.  Two requests carry the optional fields for it; their v1
+defaults ask for an immediate answer, so a frame without them is
+answered at once:
+
+* ``lease`` — ``wait_s`` (default ``0.0``): hold a ``no_work`` reply up
+  to that many seconds until a shard can be granted; ``once`` (default
+  ``False``): a ``--once`` worker, answered at once when ``no_work``
+  says ``drained``.  A quarantined owner is always answered at once.
+* ``jobs`` — ``wait_for`` (default ``""``): a campaign key;
+  ``wait_s`` (default ``0.0``): hold the reply up to that many seconds
+  until that campaign is complete.
+
+The coordinator caps every wait at :data:`MAX_WAIT_S`, below the
+clients' 30 s socket timeouts, and answers as if the request had not
+waited when the cap is reached.
 """
 
 from __future__ import annotations
@@ -38,6 +56,8 @@ from repro.io.canonical import canonical_json
 __all__ = [
     "PROTOCOL_FORMAT",
     "PROTOCOL_VERSION",
+    "MAX_WAIT_S",
+    "heartbeat_period",
     "ProtocolError",
     "MESSAGE_TYPES",
     "Message",
@@ -74,6 +94,19 @@ __all__ = [
 PROTOCOL_FORMAT = "repro-serve"
 PROTOCOL_VERSION = 1
 
+#: The longest the coordinator defers a reply (seconds); below the 30 s
+#: socket timeouts of the worker and client connections.
+MAX_WAIT_S = 20.0
+
+
+def heartbeat_period(ttl: float) -> float:
+    """Seconds between a lease holder's heartbeats for a *ttl*-second lease.
+
+    The coordinator re-checks parked lease requests at the same period,
+    so a dead worker's shard is re-granted within it once the lease
+    expires.
+    """
+    return max(0.05, ttl / 3.0)
 
 
 class ProtocolError(ValueError):
@@ -145,8 +178,14 @@ class SubmitOk(Message):
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class LeaseRequest(Message):
+    """Ask for a shard.  ``wait_s > 0`` parks a ``no_work`` answer until
+    a shard can be granted (see the module docstring); ``once`` marks a
+    worker that exits when the fabric is drained."""
+
     TYPE = "lease"
     owner: str = ""
+    wait_s: float = 0.0
+    once: bool = False
 
 
 @dataclass(frozen=True)
@@ -285,7 +324,12 @@ class TelemetryOk(Message):
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class JobsRequest(Message):
+    """List the campaigns.  With ``wait_for`` (a campaign key) and
+    ``wait_s > 0`` the reply is held until that campaign is complete."""
+
     TYPE = "jobs"
+    wait_for: str = ""
+    wait_s: float = 0.0
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,11 @@ coordinator for a shard lease, reconstructs the granted cells from their
 wire documents, executes them (with the usual spec-keyed
 :class:`~repro.runtime.cache.ResultCache` for sweep cells), then streams
 one ``cell_result`` per cell followed by ``shard_done``.  A daemon
-thread heartbeats the active lease every ``ttl/3`` seconds.
+thread heartbeats the active lease every ``ttl/3`` seconds.  A lease
+request asks the coordinator to hold its answer until a shard can be
+granted (or, for a ``once`` worker, the fabric is drained), so an idle
+worker never sleeps or polls: it asks again as soon as an answer says
+there is nothing to do.
 
 Failure handling is deliberately dumb because cells are deterministic:
 
@@ -85,7 +89,6 @@ class WorkerClient:
         owner: Optional[str] = None,
         cache: Optional[ResultCache] = None,
         telemetry: bool = False,
-        poll_s: float = 0.5,
         once: bool = False,
         backoff_base_s: float = 0.5,
         backoff_max_s: float = 30.0,
@@ -99,7 +102,6 @@ class WorkerClient:
         self.owner = owner or f"{os.uname().nodename}:{os.getpid()}"
         self.cache = cache
         self.telemetry = telemetry
-        self.poll_s = poll_s
         self.once = once
         self.backoff_base_s = backoff_base_s
         self.backoff_max_s = backoff_max_s
@@ -243,7 +245,7 @@ class WorkerClient:
         )
 
     def _heartbeat_loop(self, grant: wire.LeaseGrant, stop: threading.Event) -> None:
-        period = max(0.05, grant.ttl / 3.0)
+        period = wire.heartbeat_period(grant.ttl)
         while not stop.wait(period):
             conn = self._conn
             if conn is None:
@@ -307,7 +309,9 @@ class WorkerClient:
         while True:
             try:
                 conn = self._ensure_conn()
-                reply = conn.rpc(wire.LeaseRequest(owner=self.owner))
+                reply = conn.rpc(wire.LeaseRequest(
+                    owner=self.owner, wait_s=wire.MAX_WAIT_S, once=self.once,
+                ))
             except _ConnectionLost as exc:
                 self._drop_conn()
                 self._reconnect_with_backoff(str(exc))
@@ -327,8 +331,7 @@ class WorkerClient:
                     self.log(f"[{self.owner}] drained: shards={self.shards_done} "
                              f"cells={self.cells_run} hits={self.cache_hits}")
                     return 0
-                time.sleep(self.poll_s)
-                continue
+                continue  # the coordinator waited as long as it may
             if isinstance(reply, wire.ErrorReply):
                 self.log(f"[{self.owner}] coordinator error: {reply.reason}")
                 return 1

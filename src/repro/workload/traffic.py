@@ -50,8 +50,9 @@ import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from operator import itemgetter
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -103,17 +104,37 @@ def _check_demand_kind(demand: str) -> None:
         raise ValueError(f"demand must be one of {_DEMANDS}, got {demand!r}")
 
 
+#: Standard exponentials drawn per numpy call by :func:`_exponentials`.
+_EXP_BLOCK = 1024
+
+#: An expanded arrival sequence: arrival instants and their demands.
+_Columns = Tuple[List[float], List[float]]
+
+
 def _draw_demands(rng: np.random.Generator, kind: str, mean: float, n: int) -> List[float]:
     if kind == "fixed":
         return [mean] * n
-    return [float(x) for x in rng.exponential(mean, n)]
+    return rng.exponential(mean, n).tolist()
+
+
+def _exponentials(rng: np.random.Generator) -> Iterator[float]:
+    """*rng*'s standard exponential draws, in order, drawn in blocks.
+
+    ``scale * rng.standard_exponential(n)`` equals ``n`` scalar
+    ``rng.exponential(scale)`` calls bit for bit, so scaling these draws
+    one by one reproduces the scalar stream.  A block draws ahead, so
+    the stream must be the generator's only use.
+    """
+    while True:
+        yield from rng.standard_exponential(_EXP_BLOCK).tolist()
 
 
 def _poisson_times(
-    rng: np.random.Generator, rate: float, start: float, end: float
+    draws: Iterator[float], rate: float, start: float, end: float
 ) -> List[float]:
     """Poisson arrival instants in ``[start, end)`` at constant *rate*.
 
+    *draws* is an :func:`_exponentials` stream, consumed in order.
     Restarting the exponential clock at *start* is exact for piecewise-
     constant rates (memorylessness), which is what makes the per-segment
     MMPP expansion below a faithful MMPP sample.
@@ -121,11 +142,16 @@ def _poisson_times(
     out: List[float] = []
     if rate <= 0.0:
         return out
-    t = start + float(rng.exponential(1.0 / rate))
+    scale = 1.0 / rate
+    t = start + scale * next(draws)
     while t < end:
         out.append(t)
-        t += float(rng.exponential(1.0 / rate))
+        t += scale * next(draws)
     return out
+
+
+def _as_arrivals(columns: _Columns) -> Tuple[Arrival, ...]:
+    return tuple(map(Arrival, *columns))
 
 
 @dataclass(frozen=True)
@@ -148,15 +174,20 @@ class PoissonSource:
         _check_demand_kind(self.demand)
         store_floats(self, "rate", "mean_demand")
 
-    def arrivals(self, horizon: float) -> Tuple[Arrival, ...]:
+    def expand(self, horizon: float) -> _Columns:
+        """Arrival instants before *horizon* and their demands."""
         times = _poisson_times(
-            np.random.default_rng([self.seed, 0]), self.rate, 0.0, horizon
+            _exponentials(np.random.default_rng([self.seed, 0])),
+            self.rate, 0.0, horizon,
         )
         demands = _draw_demands(
             np.random.default_rng([self.seed, 1]),
             self.demand, self.mean_demand, len(times),
         )
-        return tuple(Arrival(t, d) for t, d in zip(times, demands))
+        return times, demands
+
+    def arrivals(self, horizon: float) -> Tuple[Arrival, ...]:
+        return _as_arrivals(self.expand(horizon))
 
     def offered_load(self, horizon: float) -> float:
         """Mean demand rate in CPU-seconds per second."""
@@ -222,8 +253,10 @@ class MMPPSource:
             state = (state + 1) % len(self.rates)
         return out
 
-    def arrivals(self, horizon: float) -> Tuple[Arrival, ...]:
-        timing = np.random.default_rng([self.seed, 1])
+    def expand(self, horizon: float) -> _Columns:
+        """Arrival instants before *horizon* and their demands; the
+        segments consume one timing stream in order."""
+        timing = _exponentials(np.random.default_rng([self.seed, 1]))
         times: List[float] = []
         for start, end, rate in self._segments(horizon):
             times.extend(_poisson_times(timing, rate, start, end))
@@ -231,7 +264,10 @@ class MMPPSource:
             np.random.default_rng([self.seed, 2]),
             self.demand, self.mean_demand, len(times),
         )
-        return tuple(Arrival(t, d) for t, d in zip(times, demands))
+        return times, demands
+
+    def arrivals(self, horizon: float) -> Tuple[Arrival, ...]:
+        return _as_arrivals(self.expand(horizon))
 
     def offered_load(self, horizon: float) -> float:
         """Stationary mean demand rate (dwell-weighted) in CPU-s/s."""
@@ -306,7 +342,10 @@ class DiurnalCurveSource:
             1.0 - math.cos(2.0 * math.pi * (t + self.phase) / self.period)
         )
 
-    def arrivals(self, horizon: float) -> Tuple[Arrival, ...]:
+    def expand(self, horizon: float) -> _Columns:
+        """Arrival instants before *horizon* and their demands.  Thinning
+        interleaves two distributions on one generator, so it draws one
+        value at a time."""
         rng = np.random.default_rng([self.seed, 0])
         times: List[float] = []
         t = 0.0
@@ -320,7 +359,10 @@ class DiurnalCurveSource:
             np.random.default_rng([self.seed, 1]),
             self.demand, self.mean_demand, len(times),
         )
-        return tuple(Arrival(t, d) for t, d in zip(times, demands))
+        return times, demands
+
+    def arrivals(self, horizon: float) -> Tuple[Arrival, ...]:
+        return _as_arrivals(self.expand(horizon))
 
     def offered_load(self, horizon: float) -> float:
         return (self.base_rate + self.peak_rate) / 2.0 * self.mean_demand
@@ -385,6 +427,11 @@ class TraceReplaySource:
 
     def arrivals(self, horizon: float) -> Tuple[Arrival, ...]:
         return tuple(a for a in self._parsed() if a.time < horizon)
+
+    def expand(self, horizon: float) -> _Columns:
+        """Arrival instants before *horizon* and their demands."""
+        arrivals = self.arrivals(horizon)
+        return [a.time for a in arrivals], [a.demand for a in arrivals]
 
     def offered_load(self, horizon: float) -> float:
         if horizon <= 0:
@@ -642,10 +689,12 @@ class TrafficSpec:
         queues: Dict[int, _ServerQueue] = {}
         tid = TRAFFIC_BASE_ID
         for flow in self.flows:
-            arrivals = flow.source.arrivals(horizon)
+            times, demands = flow.source.expand(horizon)
             srv = flow.server
             for k in range(srv.count):
-                queues[tid] = _ServerQueue(arrivals[k::srv.count], srv)
+                queues[tid] = _ServerQueue(
+                    times[k::srv.count], demands[k::srv.count], srv
+                )
                 tid += 1
         return TrafficBehavior(inner, queues)
 
@@ -728,13 +777,12 @@ class _ServerQueue:
 
     __slots__ = ("_times", "_prefix", "_budget", "_lookahead", "served", "_memo")
 
-    def __init__(self, arrivals: Sequence[Arrival], server: ServerSpec) -> None:
-        self._times = [a.time for a in arrivals]
-        self._prefix: List[float] = []
-        total = 0.0
-        for a in arrivals:
-            total += a.demand
-            self._prefix.append(total)
+    def __init__(
+        self, times: List[float], demands: Sequence[float], server: ServerSpec
+    ) -> None:
+        self._times = times
+        # A running total from 0.0: sequential adds, never pairwise sums.
+        self._prefix = list(accumulate(demands, initial=0.0))[1:]
         self._budget = server.budget
         self._lookahead = server.period if server.policy == "deferrable" else 0.0
         self.served = 0.0

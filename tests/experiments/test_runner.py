@@ -1,5 +1,7 @@
 """Tests for the experiment runner (repro.experiments.runner)."""
 
+import gc
+
 import pytest
 
 from repro.core.monitor import AdaptiveMonitor, NullMonitor, SimpleMonitor
@@ -100,6 +102,24 @@ class TestRunOverloadExperiment:
         a = run_overload_experiment(small_ts, SHORT, MonitorSpec("simple", 0.6))
         b = run_overload_experiment(small_ts, SHORT, MonitorSpec("simple", 0.6))
         assert a == b
+
+    def test_finished_run_leaves_no_reference_cycle(self, small_ts):
+        # On the soa kernel, reference counting alone frees the kernel,
+        # the trace and the behaviours when a run returns: the cyclic
+        # collector finds nothing left of it.
+        config = KernelConfig(backend="soa")
+        traffic = mmpp_traffic(0.3, 2, seed=7)
+        run = lambda: run_overload_experiment(  # noqa: E731
+            small_ts, CALM, MonitorSpec("simple", 0.6), config=config, traffic=traffic
+        )
+        run()
+        gc.collect()
+        gc.disable()
+        try:
+            run()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 def literal_settled(kernel, monitor, end) -> bool:

@@ -9,7 +9,7 @@ and the rules check that:
 
 * the store's live owner of every shard is the model's (at most one);
 * a heartbeat is valid exactly when its owner holds a live lease;
-* a shard the coordinator committed is never granted again;
+* a shard with a result manifest is never granted, whoever wrote it;
 * a coordinator restart leaves no lease;
 * the merged artifact equals the file-queue reference.
 
@@ -135,21 +135,24 @@ class LeaseTable(RuleBasedStateMachine):
         if w in self.holding:
             return
         (reply,) = self.coord.handle(wire.LeaseRequest(owner=w))
-        expected = next(
-            (
-                i
-                for i in range(len(self.shards))
-                if i not in self.committed and self._live(i) is None
-            ),
-            None,
-        )
+        expected = None
+        for i in range(len(self.shards)):
+            if i in self.committed or self._live(i) is not None:
+                continue
+            if i in self.on_disk:
+                # A file-queue commit: the coordinator finds the manifest
+                # under the lease it won, counts the shard done and moves on.
+                self._commit(i)
+                continue
+            expected = i
+            break
         if expected is None:
             assert isinstance(reply, wire.NoWork)
             assert reply.drained == (len(self.committed) == len(self.shards))
             return
         assert isinstance(reply, wire.LeaseGrant)
         assert reply.index == expected
-        assert reply.index not in self.committed
+        assert reply.index not in self.on_disk
         self.leases[expected] = [w, self.now]
         self.holding[w] = expected
 

@@ -8,7 +8,10 @@ story rests on:
   chunkings of a frame stream yields exactly the original messages, in
   order (partial reads never corrupt or duplicate);
 * unknown *fields* are ignored on decode (forward compatibility) while
-  unknown *types* and non-object frames fail loudly.
+  unknown *types* and non-object frames fail loudly;
+* the optional wait fields of ``lease`` and ``jobs`` round-trip, and a
+  frame without them (a v1 peer's) decodes to the defaults that ask for
+  an immediate answer.
 """
 
 import dataclasses
@@ -20,6 +23,8 @@ from hypothesis import strategies as st
 
 from repro.serve.protocol import (
     MESSAGE_TYPES,
+    JobsRequest,
+    LeaseRequest,
     LineDecoder,
     ProtocolError,
     decode_message,
@@ -118,6 +123,24 @@ def test_unknown_fields_are_ignored(msg, extra):
     doc.update({k: v for k, v in extra.items() if k not in known and k != "type"})
     decoded = decode_message(json.dumps(doc))
     assert decoded == msg
+
+
+#: The fields a v1 peer sends; everything else is an optional wait field.
+V1_FIELDS = {LeaseRequest: {"owner"}, JobsRequest: set()}
+waiting_requests = st.one_of([_message_strategy(cls) for cls in V1_FIELDS])
+
+
+@given(waiting_requests)
+@settings(max_examples=100)
+def test_wait_fields_round_trip_and_default_to_answer_at_once(msg):
+    assert decode_message(encode_message(msg)[:-1].decode("utf-8")) == msg
+    doc = {k: v for k, v in dataclasses.asdict(msg).items()
+           if k in V1_FIELDS[type(msg)]}
+    doc["type"] = msg.TYPE
+    v1 = decode_message(json.dumps(doc))
+    sent = {k: v for k, v in doc.items() if k != "type"}
+    assert v1 == type(msg)(**sent)  # every wait field at its default
+    assert v1.wait_s == 0.0  # which the coordinator answers at once
 
 
 @given(st.text(min_size=1, max_size=20))

@@ -143,8 +143,8 @@ class TestSpotCheck:
             # The dishonest worker corrupts every shard it touches; the
             # spot-check refuses each one and then bars the owner, so
             # its loop exits with the quarantine code.
-            mallory = _DishonestWorker(svc.addr, owner="mallory",
-                                       poll_s=0.02, once=True, log=quiet)
+            mallory = _DishonestWorker(svc.addr, owner="mallory", once=True,
+                                       log=quiet)
             assert mallory.run() == 3
             assert mallory.shards_done == 0  # nothing it sent was kept
 
@@ -154,11 +154,9 @@ class TestSpotCheck:
             assert row["quarantined"] >= 1
 
             # An honest worker re-runs the refused shards to completion.
-            honest = WorkerClient(svc.addr, owner="honest", poll_s=0.02,
-                                  once=True, log=quiet)
+            honest = WorkerClient(svc.addr, owner="honest", once=True, log=quiet)
             assert honest.run() == 0
-            row = client.wait(campaign.campaign_key, poll_s=0.02,
-                              timeout_s=60)
+            row = client.wait(campaign.campaign_key, timeout_s=60)
             assert row["merged"] and row["manifest"]
 
             # The fetched provenance manifest travels over the wire.
@@ -198,11 +196,9 @@ class TestSpotCheck:
         campaign = ShardedCampaign("sweep", grid, shard_size=2)
         with ServiceClient(svc.addr) as client:
             client.submit(campaign.to_dict())
-            honest = WorkerClient(svc.addr, owner="w1", poll_s=0.02,
-                                  once=True, log=quiet)
+            honest = WorkerClient(svc.addr, owner="w1", once=True, log=quiet)
             assert honest.run() == 0
-            row = client.wait(campaign.campaign_key, poll_s=0.02,
-                              timeout_s=60)
+            row = client.wait(campaign.campaign_key, timeout_s=60)
             assert row["quarantined"] == 0
             cells = client.fetch(campaign.campaign_key)
         assert [doc for doc, _, _ in cells] == ref

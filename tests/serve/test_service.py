@@ -10,6 +10,9 @@ Pins the service's durability contract against the file queue it wraps:
   recovers the buffered shard from its journal on restart;
 * lease/heartbeat semantics (grant exclusivity, expiry, wrong-owner
   rejection) under a controllable monotonic clock;
+* parked requests are answered on the event they wait for (a submit, a
+  commit, a lease expiry), never granted to a peer that left, and a
+  frame without the wait fields is answered at once;
 * duplicate/partial deliveries are idempotent or rejected with a reason;
 * :func:`~repro.runtime.executor.make_executor` routes
   ``service_addr=`` to :class:`~repro.serve.client.ServiceBackend`,
@@ -25,6 +28,7 @@ import json
 import os
 import pathlib
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -87,8 +91,8 @@ def grid_docs(grid):
 class _Service:
     """A live coordinator on an ephemeral port, in its own event loop."""
 
-    def __init__(self, root, lease_ttl=60.0):
-        self.coord = Coordinator(root, lease_ttl=lease_ttl)
+    def __init__(self, root, lease_ttl=60.0, **kw):
+        self.coord = Coordinator(root, lease_ttl=lease_ttl, **kw)
         self._loop = asyncio.new_event_loop()
         self._ready = threading.Event()
         self._thread = threading.Thread(target=self._run, daemon=True)
@@ -125,8 +129,8 @@ class _Service:
 def make_service(tmp_path):
     services = []
 
-    def factory(name="serve", lease_ttl=60.0):
-        svc = _Service(tmp_path / name, lease_ttl=lease_ttl).start()
+    def factory(name="serve", lease_ttl=60.0, **kw):
+        svc = _Service(tmp_path / name, lease_ttl=lease_ttl, **kw).start()
         services.append(svc)
         return svc
 
@@ -138,7 +142,7 @@ def make_service(tmp_path):
 def drain(addr, **kw):
     """One in-process worker until the coordinator reports drained."""
     kw.setdefault("log", lambda *_: None)
-    assert run_worker(addr, once=True, poll_s=0.02, **kw) == 0
+    assert run_worker(addr, once=True, **kw) == 0
 
 
 @contextlib.contextmanager
@@ -149,7 +153,7 @@ def background_workers(addr, n=1, **kw):
 
     def loop(i):
         while not stop.is_set():
-            run_worker(addr, once=True, poll_s=0.02, owner=f"bg{i}",
+            run_worker(addr, once=True, owner=f"bg{i}",
                        log=lambda *_: None, **kw)
             stop.wait(0.02)
 
@@ -184,7 +188,7 @@ class TestByteIdentity:
             ack = client.submit(campaign.to_dict())
             assert ack.created and ack.shards == 2 and ack.shards_done == 0
             drain(svc.addr, owner="w1")
-            row = client.wait(campaign.campaign_key, poll_s=0.02, timeout_s=60)
+            row = client.wait(campaign.campaign_key, timeout_s=60)
         assert row["merged"]
         merged = (svc.coord.root / row["dir"] / "merged.json").read_bytes()
         assert merged == reference
@@ -202,7 +206,7 @@ class TestByteIdentity:
         with ServiceClient(svc.addr) as client:
             client.submit(campaign.to_dict())
             drain(svc.addr, owner="w1")
-            row = client.wait(campaign.campaign_key, poll_s=0.02, timeout_s=60)
+            row = client.wait(campaign.campaign_key, timeout_s=60)
         merged = (svc.coord.root / row["dir"] / "merged.json").read_bytes()
         assert merged == reference
 
@@ -212,7 +216,7 @@ class TestByteIdentity:
         with ServiceClient(svc.addr) as client:
             client.submit(campaign.to_dict())
             drain(svc.addr)
-            client.wait(campaign.campaign_key, poll_s=0.02, timeout_s=60)
+            client.wait(campaign.campaign_key, timeout_s=60)
             ack = client.submit(campaign.to_dict())
             assert not ack.created and ack.shards_done == ack.shards
             cells = client.fetch(campaign.campaign_key)
@@ -233,8 +237,7 @@ def beaconed(self, grant, rows, shard_wall_ns):
     open(sys.argv[2], "a").write("shard\\n")
     return out
 w.WorkerClient._stream_shard = beaconed
-sys.exit(w.run_worker(sys.argv[1], owner="victim", poll_s=0.05,
-                      log=lambda *_: None))
+sys.exit(w.run_worker(sys.argv[1], owner="victim", log=lambda *_: None))
 """
 
 
@@ -273,9 +276,9 @@ class TestKillWorker:
             finally:
                 proc.wait()
 
-            # Survivor: polls past the corpse's lease TTL and finishes.
+            # Survivor: waits out the corpse's lease TTL and finishes.
             drain(svc.addr, owner="survivor")
-            row = client.wait(campaign.campaign_key, poll_s=0.02, timeout_s=60)
+            row = client.wait(campaign.campaign_key, timeout_s=60)
         merged = (svc.coord.root / row["dir"] / "merged.json").read_bytes()
         assert merged == reference
 
@@ -431,6 +434,50 @@ class TestLeaseSemantics:
         assert store.read_lease(first.shard_id) is None
         assert store.read_lease(second.shard_id) is None
 
+    def test_file_queue_commit_is_never_granted(self, grid, grid_docs, tmp_path):
+        # `sweep resume <serve root>` commits shard 0 through the file
+        # queue; the coordinator finds its manifest under the lease it
+        # wins and grants shard 1 instead of running shard 0 again.
+        coord, campaign, _ = self._coordinator(tmp_path, grid)
+        state = coord.campaigns[campaign.campaign_key]
+        first, second = campaign.shards
+        assert state.store.try_acquire(first.shard_id, "fq-owner", 60.0)
+        state.store.write_manifest(
+            campaign, first, grid_docs[first.start:first.stop],
+            [False] * first.cells, [0] * first.cells, "fq-owner", 0,
+        )
+        state.store.release(first.shard_id, "fq-owner")
+        (grant,) = coord.handle(wire.LeaseRequest(owner="svc"))
+        assert isinstance(grant, wire.LeaseGrant) and grant.shard == second.shard_id
+        assert first.shard_id in state.done
+        assert state.store.read_lease(first.shard_id) is None
+        (jobs,) = coord.handle(wire.JobsRequest())
+        assert jobs.campaigns[0]["shards_done"] == 1
+
+    def test_file_queue_commit_of_the_last_shard_merges(
+        self, grid, grid_docs, tmp_path
+    ):
+        coord, campaign, _ = self._coordinator(tmp_path, grid)
+        state = coord.campaigns[campaign.campaign_key]
+        first, second = campaign.shards
+        (grant,) = coord.handle(wire.LeaseRequest(owner="svc"))
+        assert grant.shard == first.shard_id
+        for pos in range(grant.start, grant.stop):
+            coord.handle(wire.CellResult(
+                campaign=grant.campaign, shard=grant.shard, pos=pos,
+                doc=grid_docs[pos], cached=False, wall_ns=0, owner="svc",
+            ))
+        (done,) = coord.handle(wire.ShardDone(
+            campaign=grant.campaign, shard=grant.shard, owner="svc"))
+        assert done.accepted
+        state.store.write_manifest(
+            campaign, second, grid_docs[second.start:second.stop],
+            [False] * second.cells, [0] * second.cells, "fq-owner", 0,
+        )
+        (nw,) = coord.handle(wire.LeaseRequest(owner="svc"))
+        assert isinstance(nw, wire.NoWork) and nw.drained
+        assert state.complete and state.store.merged_path.is_file()
+
     def test_duplicate_and_partial_delivery(self, grid, grid_docs, tmp_path):
         coord, campaign, _ = self._coordinator(tmp_path, grid)
         (grant,) = coord.handle(wire.LeaseRequest(owner="a"))
@@ -533,7 +580,7 @@ class TestServiceBackend:
         with ServiceClient(svc.addr) as client:
             client.submit(campaign.to_dict())
             drain(svc.addr)
-            client.wait(campaign.campaign_key, poll_s=0.02, timeout_s=60)
+            client.wait(campaign.campaign_key, timeout_s=60)
             cells = client.fetch(campaign.campaign_key)
         assert [run_result_from_dict(doc) for doc, _, _ in cells] == [
             run_result_from_dict(doc) for doc in grid_docs
@@ -550,7 +597,7 @@ class TestTelemetryAndStatus:
         with ServiceClient(svc.addr) as client:
             client.submit(campaign.to_dict())
             drain(svc.addr, owner="tele-worker", telemetry=True)
-            row = client.wait(campaign.campaign_key, poll_s=0.02, timeout_s=60)
+            row = client.wait(campaign.campaign_key, timeout_s=60)
         cdir = svc.coord.root / row["dir"]
         assert telemetry_path(cdir, "tele-worker").is_file()
         statuses = worker_statuses(cdir)
@@ -596,3 +643,233 @@ class TestTelemetryAndStatus:
         main(["jobs", "--connect", svc.addr, "--json"])
         rows = json.loads(capsys.readouterr().out)
         assert len(rows) == 1 and rows[0]["shards_done"] == 2
+
+
+# ----------------------------------------------------------------------
+# Parked requests: answered on the event they wait for, in order
+# ----------------------------------------------------------------------
+class _Peer:
+    """A raw protocol connection that sends exactly the frames a test says."""
+
+    def __init__(self, addr, timeout=60.0):
+        host, port = wire.split_host_port(addr)
+        self.sock = socket.create_connection((host, port), timeout=timeout)
+        self.decoder = wire.LineDecoder()
+        assert self.request(wire.Hello(role="worker")) == wire.HelloOk()
+
+    def send(self, msg):
+        frame = msg if isinstance(msg, bytes) else wire.encode_message(msg)
+        self.sock.sendall(frame)
+
+    def recv(self):
+        while True:
+            for msg in self.decoder.feed(b""):
+                return msg
+            data = self.sock.recv(65536)
+            assert data, "coordinator closed the connection"
+            for msg in self.decoder.feed(data):
+                return msg
+
+    def request(self, msg):
+        self.send(msg)
+        return self.recv()
+
+    def close(self):
+        self.sock.close()
+
+
+def record(svc):
+    """Log every (request, first reply) the coordinator handles, in order."""
+    log = []
+    handle = svc.coord.handle
+
+    def recorded(msg):
+        replies = handle(msg)
+        log.append((msg, replies[0]))
+        return replies
+
+    svc.coord.handle = recorded
+    return log
+
+
+def until(predicate):
+    """Wait for an event in the coordinator's thread (a hang guard only)."""
+    deadline = time.monotonic() + 60.0
+    while not predicate():
+        assert time.monotonic() < deadline, "the coordinator never got there"
+        time.sleep(0.005)
+
+
+def leases(log, owner):
+    return [reply for msg, reply in log
+            if isinstance(msg, wire.LeaseRequest) and msg.owner == owner]
+
+
+def position(log, kind, pred=lambda msg, reply: True):
+    return next(i for i, (msg, reply) in enumerate(log)
+                if isinstance(msg, kind) and pred(msg, reply))
+
+
+def commit(peer, grant, grid_docs, owner):
+    for pos in range(grant.start, grant.stop):
+        assert peer.request(wire.CellResult(
+            campaign=grant.campaign, shard=grant.shard, pos=pos,
+            doc=grid_docs[pos], cached=False, wall_ns=0, owner=owner,
+        )) == wire.CellOk()
+    assert peer.request(wire.ShardDone(
+        campaign=grant.campaign, shard=grant.shard, owner=owner)).accepted
+
+
+def parked_lease(owner, once=False):
+    return wire.LeaseRequest(owner=owner, wait_s=wire.MAX_WAIT_S, once=once)
+
+
+class TestParkedRequests:
+    def test_lease_sent_before_submit_is_granted_by_the_submit(
+        self, grid, make_service
+    ):
+        svc = make_service()
+        log = record(svc)
+        early = _Peer(svc.addr)
+        early.send(parked_lease("early"))
+        until(lambda: svc.coord.parked == 1)
+        campaign = ShardedCampaign("sweep", grid, shard_size=2)
+        with ServiceClient(svc.addr) as client:
+            client.submit(campaign.to_dict())
+        grant = early.recv()  # the one request early ever sent
+        early.close()
+        assert isinstance(grant, wire.LeaseGrant)
+        assert grant.shard == campaign.shards[0].shard_id
+        first, second = leases(log, "early")
+        assert isinstance(first, wire.NoWork) and first.drained
+        assert second == grant
+        assert (position(log, wire.LeaseRequest)
+                < position(log, wire.Submit)
+                < position(log, wire.LeaseRequest, lambda m, r: r == grant))
+
+    def test_once_worker_exits_drained_on_the_last_commit(
+        self, grid, grid_docs, make_service
+    ):
+        svc = make_service()
+        campaign = ShardedCampaign("sweep", grid, shard_size=len(grid))
+        with ServiceClient(svc.addr) as client:
+            client.submit(campaign.to_dict())
+        holder = _Peer(svc.addr)
+        grant = holder.request(wire.LeaseRequest(owner="holder"))
+        log = record(svc)
+        exit_code = []
+        worker = threading.Thread(target=lambda: exit_code.append(run_worker(
+            svc.addr, owner="once", once=True, log=lambda *_: None)))
+        worker.start()
+        until(lambda: svc.coord.parked == 1)
+        commit(holder, grant, grid_docs, "holder")
+        worker.join(timeout=60.0)
+        holder.close()
+        assert exit_code == [0]
+        first, last = leases(log, "once")
+        assert isinstance(first, wire.NoWork) and not first.drained
+        assert isinstance(last, wire.NoWork) and last.drained
+        assert (position(log, wire.ShardDone)
+                < position(log, wire.LeaseRequest, lambda m, r: r is last))
+
+    def test_dead_holders_shard_goes_to_the_parked_worker_on_expiry(
+        self, grid, make_service
+    ):
+        now = [0.0]
+        svc = make_service(lease_ttl=0.3, mono=lambda: now[0])
+        campaign = ShardedCampaign("sweep", grid, shard_size=len(grid))
+        with ServiceClient(svc.addr) as client:
+            client.submit(campaign.to_dict())
+        victim = _Peer(svc.addr)
+        grant = victim.request(wire.LeaseRequest(owner="victim"))
+        victim.close()  # dies holding the lease: no heartbeat, no commit
+        log = record(svc)
+        heir = _Peer(svc.addr)
+        heir.send(parked_lease("heir"))
+        until(lambda: svc.coord.parked == 1)
+        assert svc.coord.campaigns[campaign.campaign_key].store.live_owner(
+            grant.shard, 0.3, lambda: now[0]) == "victim"
+        expired = len(log)
+        now[0] = 1.0  # the victim's lease expires
+        regrant = heir.recv()  # still the heir's one request
+        heir.close()
+        assert isinstance(regrant, wire.LeaseGrant) and regrant.shard == grant.shard
+        replies = leases(log, "heir")
+        assert replies[-1] == regrant
+        assert all(isinstance(r, wire.NoWork) and not r.drained for r in replies[:-1])
+        assert position(log, wire.LeaseRequest, lambda m, r: r == regrant) >= expired
+
+    def test_peer_that_leaves_while_parked_is_never_granted(
+        self, grid, make_service
+    ):
+        svc = make_service()  # 60 s TTL: a lost grant would strand the shard
+        log = record(svc)
+        ghost = _Peer(svc.addr)
+        ghost.send(parked_lease("ghost"))
+        until(lambda: svc.coord.parked == 1)
+        ghost.close()
+        until(lambda: svc.coord.parked == 0)
+        campaign = ShardedCampaign("sweep", grid, shard_size=len(grid))
+        with ServiceClient(svc.addr) as client:
+            client.submit(campaign.to_dict())
+        nxt = _Peer(svc.addr)
+        grant = nxt.request(wire.LeaseRequest(owner="next"))
+        nxt.close()
+        assert isinstance(grant, wire.LeaseGrant)
+        assert [type(r) for r in leases(log, "ghost")] == [wire.NoWork]
+        store = svc.coord.campaigns[campaign.campaign_key].store
+        assert store.read_lease(grant.shard)["owner"] == "next"
+
+    def test_wait_returns_on_the_final_commit(
+        self, grid, grid_docs, make_service, monkeypatch
+    ):
+        svc = make_service()
+        campaign = ShardedCampaign("sweep", grid, shard_size=2)
+        with ServiceClient(svc.addr) as client:
+            client.submit(campaign.to_dict())
+        sent = []
+        send = ServiceClient._send
+        monkeypatch.setattr(
+            ServiceClient, "_send", lambda self, msg: (sent.append(msg), send(self, msg))
+        )
+        log = record(svc)
+        rows = []
+        with ServiceClient(svc.addr) as client:
+            waiter = threading.Thread(
+                target=lambda: rows.append(client.wait(campaign.campaign_key)))
+            waiter.start()
+            until(lambda: svc.coord.parked == 1)
+            worker = _Peer(svc.addr)
+            for _ in campaign.shards:
+                commit(worker, worker.request(wire.LeaseRequest(owner="w")),
+                       grid_docs, "w")
+            waiter.join(timeout=60.0)
+            worker.close()
+        (row,) = rows
+        assert row["shards_done"] == row["shards"] == 2 and row["merged"]
+        assert [type(m) for m in sent] == [wire.Hello, wire.JobsRequest]
+        final = max(i for i, (m, _) in enumerate(log) if isinstance(m, wire.ShardDone))
+        answered = [i for i, (m, _) in enumerate(log) if isinstance(m, wire.JobsRequest)]
+        assert answered[-1] > final
+
+    def test_frames_without_wait_fields_are_answered_at_once(
+        self, grid, make_service
+    ):
+        svc = make_service()
+        # A v1 peer's frames; a parked reply would take MAX_WAIT_S.
+        peer = _Peer(svc.addr, timeout=wire.MAX_WAIT_S / 2)
+        v1_lease = b'{"owner":"v1","type":"lease"}\n'
+        v1_jobs = b'{"type":"jobs"}\n'
+        empty = peer.request(v1_lease)
+        assert isinstance(empty, wire.NoWork) and empty.drained
+        campaign = ShardedCampaign("sweep", grid, shard_size=len(grid))
+        with ServiceClient(svc.addr) as client:
+            client.submit(campaign.to_dict())
+        grant = peer.request(v1_lease)
+        assert isinstance(grant, wire.LeaseGrant)
+        busy = peer.request(b'{"owner":"v1b","type":"lease"}\n')
+        assert isinstance(busy, wire.NoWork) and busy.active == 1
+        jobs = peer.request(v1_jobs)
+        assert isinstance(jobs, wire.JobsReply) and jobs.campaigns[0]["leased"] == 1
+        peer.close()
+        assert svc.coord.parked == 0
