@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.core.monitor import Monitor
+from repro.io.codec import document
 from repro.model.task import CriticalityLevel
 from repro.sim.trace import Trace
 
@@ -104,6 +105,7 @@ class SojournStats:
         )
 
 
+@document(omit_default=("sojourn",))
 @dataclass(frozen=True)
 class RunResult:
     """Everything one overload-recovery run produces."""

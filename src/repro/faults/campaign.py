@@ -38,6 +38,8 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tupl
 from repro.faults.invariants import Violation, evaluate_invariants
 from repro.faults.plane import FaultPlane
 from repro.faults.spec import ClockSkew, FaultPlan, random_plan
+from repro.io import codec
+from repro.io.canonical import canonical_json, sha256_hex
 from repro.model.taskset import TaskSet
 from repro.runtime.executor import PoolDegradation, simulate_spec
 from repro.runtime.spec import (
@@ -103,32 +105,19 @@ class CampaignCell:
     def key(self) -> str:
         """sha256 over the combined canonical JSON of run and plan.
 
-        ``ObsSpec`` is excluded (via ``RunSpec.canonical_json``), so
-        tracing a campaign never changes its cell identities.
+        ``ObsSpec`` is not keyed, so tracing a campaign never changes
+        its cell identities.
         """
-        from repro.io.canonical import canonical_json, sha256_hex
-
-        doc = {
-            "format": CAMPAIGN_CELL_FORMAT,
-            "version": 1,
-            "run": json.loads(self.run.canonical_json()),
-            "plan": self.plan.to_dict(),
-        }
+        doc = codec.encode(self, keyed=True)
+        doc.update(format=CAMPAIGN_CELL_FORMAT, version=1)
         return sha256_hex(canonical_json(doc))
 
     def to_dict(self) -> Dict[str, Any]:
-        from repro.io.runspec_json import runspec_to_dict
-
-        return {"run": runspec_to_dict(self.run), "plan": self.plan.to_dict()}
+        return codec.encode(self)
 
     @classmethod
     def from_dict(cls, doc: Dict[str, Any]) -> "CampaignCell":
-        from repro.io.runspec_json import runspec_from_dict
-
-        return cls(
-            run=runspec_from_dict(doc["run"]),
-            plan=FaultPlan.from_dict(doc["plan"]),
-        )
+        return codec.decode(cls, doc)
 
 
 @dataclass(frozen=True)
@@ -182,36 +171,13 @@ class CellOutcome:
         return out
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "cell": self.cell.to_dict(),
-            "key": self.key,
-            "dissipation": self.dissipation,
-            "truncated": self.truncated,
-            "min_speed": self.min_speed,
-            "miss_count": self.miss_count,
-            "episodes": self.episodes,
-            "sim_end": self.sim_end,
-            "events": self.events,
-            "fingerprint": self.fingerprint,
-            "checked": list(self.checked),
-            "violations": [v.to_dict() for v in self.violations],
-        }
+        """The codec's document with the cell's derived ``key`` after ``cell``."""
+        doc = codec.encode(self)
+        return {"cell": doc.pop("cell"), "key": self.key, **doc}
 
     @classmethod
     def from_dict(cls, doc: Dict[str, Any]) -> "CellOutcome":
-        return cls(
-            cell=CampaignCell.from_dict(doc["cell"]),
-            dissipation=float(doc["dissipation"]),
-            truncated=bool(doc["truncated"]),
-            min_speed=float(doc["min_speed"]),
-            miss_count=int(doc["miss_count"]),
-            episodes=int(doc["episodes"]),
-            sim_end=float(doc["sim_end"]),
-            events=int(doc["events"]),
-            fingerprint=doc["fingerprint"],
-            checked=tuple(doc["checked"]),
-            violations=tuple(Violation.from_dict(v) for v in doc["violations"]),
-        )
+        return codec.decode(cls, doc)
 
 
 def _s_min_for(monitor: MonitorSpec) -> Optional[float]:
@@ -238,6 +204,7 @@ def run_cell(
     observation only.
     """
     spec = cell.run
+    plane = None if cell.plan.is_empty else FaultPlane(cell.plan)
     out = simulate_spec(
         spec,
         tasksets,
@@ -251,10 +218,15 @@ def run_cell(
             },
         ),
         keep_artifacts=True,
-        fault_plane=None if cell.plan.is_empty else FaultPlane(cell.plan),
+        fault_plane=plane,
     )
     report = evaluate_invariants(out, out.kernel.taskset, s_min=_s_min_for(spec.monitor))
     digest = fingerprint_digest(fingerprint(out.trace, out.kernel, out.monitor))
+    # Judged: cut the kernel/monitor and kernel/plane cycles, so reference
+    # counting frees the cell's kernel, trace and fault plane.
+    out.monitor.controller = None
+    if plane is not None:
+        plane.detach()
     r = out.result
     return CellOutcome(
         cell=cell,
@@ -400,6 +372,7 @@ def run_campaign(
     )
 
 
+@codec.document(header=(SCORECARD_FORMAT, SCORECARD_VERSION))
 @dataclass(frozen=True)
 class Scorecard:
     """A campaign's verdict: every cell outcome plus degradation notes."""
@@ -488,19 +461,8 @@ class Scorecard:
 
     @classmethod
     def from_dict(cls, doc: Dict[str, Any]) -> "Scorecard":
-        if doc.get("format") != SCORECARD_FORMAT:
-            raise ValueError(f"not a {SCORECARD_FORMAT} document: {doc.get('format')!r}")
-        if doc.get("version") != SCORECARD_VERSION:
-            raise ValueError(f"unsupported scorecard version {doc.get('version')!r}")
-        deg = doc.get("degradation", {})
-        return cls(
-            outcomes=tuple(CellOutcome.from_dict(o) for o in doc["outcomes"]),
-            degradation=PoolDegradation(
-                retried=int(deg.get("retried", 0)),
-                serial_fallback=int(deg.get("serial_fallback", 0)),
-                breaks=int(deg.get("breaks", 0)),
-            ),
-        )
+        """Read a ``repro-scorecard`` document (its summary is derived)."""
+        return codec.decode(cls, doc)
 
     def save(self, path: str) -> None:
         from repro.util.atomicio import atomic_write_text
@@ -603,16 +565,9 @@ def scorecard_json_chunks(
     *digests* is given, the sha256 of each outcome's canonical text is
     appended to it (the provenance manifest's per-cell digests).
     """
-    from repro.io.canonical import canonical_json, sha256_hex
-
     acc = ScorecardSummaryAccumulator(degradation)
-    deg = {
-        "breaks": degradation.breaks,
-        "retried": degradation.retried,
-        "serial_fallback": degradation.serial_fallback,
-    }
     yield '{"degradation":%s,"format":"%s","outcomes":[' % (
-        canonical_json(deg),
+        canonical_json(codec.encode(degradation)),
         SCORECARD_FORMAT,
     )
     for i, outcome in enumerate(outcomes):

@@ -50,6 +50,7 @@ from typing import Any, DefaultDict, Dict, List, Optional, Tuple
 from repro.analysis.trace_check import verify_monitor_decisions
 from repro.experiments.runner import ExperimentOutput
 from repro.faults.plane import FAULT_TASK_BASE_ID
+from repro.io import codec
 from repro.model.task import CriticalityLevel
 from repro.model.taskset import TaskSet
 from repro.sim.trace import Trace
@@ -78,6 +79,7 @@ _EPS = 1e-9
 _MAX_PER_INVARIANT = 25
 
 
+@codec.document(omit_default=("task", "job"))
 @dataclass(frozen=True)
 class Violation:
     """One invariant violation, anchored at a simulation time."""
@@ -89,26 +91,11 @@ class Violation:
     job: Optional[int] = None
 
     def to_dict(self) -> Dict[str, Any]:
-        doc: Dict[str, Any] = {
-            "invariant": self.invariant,
-            "t": self.t,
-            "message": self.message,
-        }
-        if self.task is not None:
-            doc["task"] = self.task
-        if self.job is not None:
-            doc["job"] = self.job
-        return doc
+        return codec.encode(self)
 
     @classmethod
     def from_dict(cls, doc: Dict[str, Any]) -> "Violation":
-        return cls(
-            invariant=doc["invariant"],
-            t=float(doc["t"]),
-            message=doc["message"],
-            task=doc.get("task"),
-            job=doc.get("job"),
-        )
+        return codec.decode(cls, doc)
 
 
 @dataclass(frozen=True)

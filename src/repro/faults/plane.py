@@ -212,6 +212,14 @@ class FaultPlane:
                 st.start, lambda now, st=st, task=task: self._begin_stall(st, task, now)
             )
 
+    def detach(self) -> None:
+        """Drop the kernel once its run is over and judged.
+
+        The kernel holds the plane's interceptors and the plane holds the
+        kernel; cutting that cycle lets reference counting free the run.
+        """
+        self._kernel = None
+
     def _begin_stall(self, stall: CpuStall, task: Task, now: float) -> None:
         """Callback at the stall start: release the synthetic hog job."""
         self._kernel.inject_pinned_job(task, stall.end - stall.start)

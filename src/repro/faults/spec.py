@@ -29,10 +29,12 @@ therefore across serial and process-pool campaign backends.
 
 from __future__ import annotations
 
-import hashlib
 import random
-from dataclasses import dataclass, fields, replace
-from typing import Any, Dict, Tuple, Union
+from dataclasses import dataclass, replace
+from typing import Annotated, Any, Dict, Tuple, Union
+
+from repro.io import codec
+from repro.io.canonical import canonical_json
 
 __all__ = [
     "FAULT_PLAN_FORMAT",
@@ -46,6 +48,7 @@ __all__ = [
     "CpuStall",
     "FaultSpec",
     "FaultPlan",
+    "fault_to_dict",
     "fault_from_dict",
     "unit_rand",
     "random_plan",
@@ -72,8 +75,13 @@ def _check_window(start: float, end: float) -> None:
         raise ValueError(f"fault window must satisfy end > start, got [{start}, {end})")
 
 
+@codec.document(strict=True)
+class _Fault:
+    """Base of the seven faults: their documents refuse unknown fields."""
+
+
 @dataclass(frozen=True)
-class MonitorOutage:
+class MonitorOutage(_Fault):
     """Monitor notifications are dropped or queued during the window.
 
     ``mode="drop"`` loses release/completion notifications outright (the
@@ -94,7 +102,7 @@ class MonitorOutage:
 
 
 @dataclass(frozen=True)
-class SpeedCommandDelay:
+class SpeedCommandDelay(_Fault):
     """Speed commands issued in the window take effect *delay* late."""
 
     start: float
@@ -110,7 +118,7 @@ class SpeedCommandDelay:
 
 
 @dataclass(frozen=True)
-class SpeedCommandDrop:
+class SpeedCommandDrop(_Fault):
     """Speed commands issued in the window never reach the clock."""
 
     start: float
@@ -123,7 +131,7 @@ class SpeedCommandDrop:
 
 
 @dataclass(frozen=True)
-class ClockSkew:
+class ClockSkew(_Fault):
     """Virtual-to-actual clock reads in the window come back up to
     *magnitude* late.
 
@@ -145,7 +153,7 @@ class ClockSkew:
 
 
 @dataclass(frozen=True)
-class ExecutionSpike:
+class ExecutionSpike(_Fault):
     """Jobs released in the window demand *factor*× their scenario
     execution time (extra demand beyond the PWCETs; budgets do not clip
     it).  ``prob`` spikes each job independently."""
@@ -169,7 +177,7 @@ class ExecutionSpike:
 
 
 @dataclass(frozen=True)
-class ReleaseJitter:
+class ReleaseJitter(_Fault):
     """Jobs nominally released in the window are released up to
     *magnitude* late (drawn per job; ``prob`` gates each job).
 
@@ -195,7 +203,7 @@ class ReleaseJitter:
 
 
 @dataclass(frozen=True)
-class CpuStall:
+class CpuStall(_Fault):
     """Processor *cpu* contributes no supply during the window (modelled
     as a synthetic top-priority pinned job; see
     :data:`repro.faults.plane.FAULT_TASK_BASE_ID`)."""
@@ -212,48 +220,26 @@ class CpuStall:
             raise ValueError(f"CpuStall.cpu must be >= 0, got {self.cpu}")
 
 
-FaultSpec = Union[
-    MonitorOutage,
-    SpeedCommandDelay,
-    SpeedCommandDrop,
-    ClockSkew,
-    ExecutionSpike,
-    ReleaseJitter,
-    CpuStall,
+#: One fault; documents tell the kinds apart by their ``kind`` and refuse
+#: unknown fields.
+FaultSpec = Annotated[
+    Union[MonitorOutage, SpeedCommandDelay, SpeedCommandDrop, ClockSkew,
+          ExecutionSpike, ReleaseJitter, CpuStall],
+    "fault",
 ]
-
-_FAULT_KINDS: Dict[str, type] = {
-    cls.kind: cls
-    for cls in (
-        MonitorOutage,
-        SpeedCommandDelay,
-        SpeedCommandDrop,
-        ClockSkew,
-        ExecutionSpike,
-        ReleaseJitter,
-        CpuStall,
-    )
-}
 
 
 def fault_to_dict(fault: FaultSpec) -> Dict[str, Any]:
     """Serialize one fault as ``{"kind": ..., **fields}``."""
-    doc: Dict[str, Any] = {"kind": fault.kind}
-    for f in fields(fault):
-        doc[f.name] = getattr(fault, f.name)
-    return doc
+    return codec.encode(fault, FaultSpec)
 
 
 def fault_from_dict(doc: Dict[str, Any]) -> FaultSpec:
     """Inverse of :func:`fault_to_dict` (validates on construction)."""
-    doc = dict(doc)
-    kind = doc.pop("kind", None)
-    cls = _FAULT_KINDS.get(kind)
-    if cls is None:
-        raise ValueError(f"unknown fault kind {kind!r} (known: {sorted(_FAULT_KINDS)})")
-    return cls(**doc)
+    return codec.decode(FaultSpec, doc)
 
 
+@codec.document(header=(FAULT_PLAN_FORMAT, FAULT_PLAN_VERSION), order=("seed", "faults"))
 @dataclass(frozen=True)
 class FaultPlan:
     """An ordered set of faults plus the seed for their randomness."""
@@ -270,34 +256,18 @@ class FaultPlan:
 
     # -- canonical serialization -------------------------------------
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "format": FAULT_PLAN_FORMAT,
-            "version": FAULT_PLAN_VERSION,
-            "seed": self.seed,
-            "faults": [fault_to_dict(f) for f in self.faults],
-        }
+        return codec.encode(self)
 
     @classmethod
     def from_dict(cls, doc: Dict[str, Any]) -> "FaultPlan":
-        if doc.get("format") != FAULT_PLAN_FORMAT:
-            raise ValueError(f"not a {FAULT_PLAN_FORMAT} document: {doc.get('format')!r}")
-        if doc.get("version") != FAULT_PLAN_VERSION:
-            raise ValueError(f"unsupported fault-plan version {doc.get('version')!r}")
-        return cls(
-            faults=tuple(fault_from_dict(f) for f in doc.get("faults", ())),
-            seed=int(doc.get("seed", 0)),
-        )
+        return codec.decode(cls, doc)
 
     def canonical_json(self) -> str:
-        # Imported lazily: repro.io initializes through the runtime
-        # package, which builds on the fault campaigns.
-        from repro.io.canonical import canonical_json
-
         return canonical_json(self.to_dict())
 
     def key(self) -> str:
         """sha256 of the canonical JSON — the plan's cache identity."""
-        return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()
+        return codec.key(self)
 
     # -- shrinker helpers --------------------------------------------
     def without(self, index: int) -> "FaultPlan":

@@ -1,18 +1,21 @@
-"""JSON export of experiment results and figure data.
+"""JSON documents of experiment results and figure data.
 
-One-way (export-only): results are archives, not inputs.  The documents
-carry enough provenance (scenario, monitor label, parameters) to tell
-which configuration produced which numbers.
+A :class:`~repro.experiments.metrics.RunResult` document is read back
+(the result cache, shard manifests, the service's fetch stream), so it
+goes through :mod:`repro.io.codec` under the rules declared on the class
+(docs/architecture.md, "Documents").  Batch and figure documents are
+export-only archives: they carry enough provenance (scenario, monitor
+label, parameters) to tell which configuration produced which numbers.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from typing import Any, Dict, Iterable
 
 from repro.experiments.figures import FigureData
-from repro.experiments.metrics import RunResult, SojournStats
+from repro.experiments.metrics import RunResult
+from repro.io import codec
 
 __all__ = [
     "run_result_to_dict",
@@ -24,45 +27,18 @@ __all__ = [
 
 
 def run_result_to_dict(result: RunResult) -> Dict[str, Any]:
-    """A RunResult as a JSON-ready dict (plain dataclass dump).
-
-    ``sojourn`` is omitted when ``None`` (scripted-overload runs), so
-    pre-traffic result documents — and everything hashed from them —
-    keep their exact bytes.
-    """
-    doc = dataclasses.asdict(result)
-    if doc.get("sojourn") is None:
-        doc.pop("sojourn", None)
-    return doc
+    """A RunResult as a JSON-ready dict (``sojourn`` only when set)."""
+    return codec.encode(result)
 
 
 def run_result_from_dict(data: Dict[str, Any]) -> RunResult:
     """Inverse of :func:`run_result_to_dict` (the result-cache read path).
 
-    Unknown keys are ignored (forward compatibility); missing fields
-    *without defaults* raise :class:`ValueError` so a truncated cache
-    entry reads as corrupt rather than as a zeroed result — while
-    documents written before an optional field existed (e.g. pre-sojourn
-    caches) still load.
+    Unknown keys are ignored (forward compatibility); a missing field
+    without a default raises :class:`ValueError`, so a truncated cache
+    entry reads as corrupt rather than as a zeroed result.
     """
-    fields = dataclasses.fields(RunResult)
-    names = {f.name for f in fields}
-    required = {
-        f.name
-        for f in fields
-        if f.default is dataclasses.MISSING
-        and f.default_factory is dataclasses.MISSING
-    }
-    missing = required - set(data)
-    if missing:
-        raise ValueError(f"RunResult document missing fields: {sorted(missing)}")
-    kwargs = {k: v for k, v in data.items() if k in names}
-    if isinstance(kwargs.get("sojourn"), dict):
-        kwargs["sojourn"] = SojournStats(**{
-            k: v for k, v in kwargs["sojourn"].items()
-            if k in {f.name for f in dataclasses.fields(SojournStats)}
-        })
-    return RunResult(**kwargs)
+    return codec.decode(RunResult, data)
 
 
 def results_to_json(results: Iterable[RunResult], indent: int = 2) -> str:

@@ -18,15 +18,19 @@ Format (versioned so future changes stay loadable)::
     }
 
 Optional fields (``relative_pp``, ``tolerance``, ``cpu``, ``name``,
-``phase``) are omitted when absent/default, keeping files diff-friendly.
+``phase``) are omitted when absent/default, keeping files diff-friendly:
+the rules are declared on :class:`~repro.model.task.Task` and applied by
+:mod:`repro.io.codec` (docs/architecture.md, "Documents").
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict
+from dataclasses import dataclass
+from typing import Any, Dict, Tuple
 
-from repro.model.task import CriticalityLevel, Task
+from repro.io import codec
+from repro.model.task import Task
 from repro.model.taskset import TaskSet
 
 __all__ = ["task_to_dict", "task_from_dict", "taskset_to_json", "taskset_from_json"]
@@ -35,73 +39,32 @@ FORMAT = "repro-taskset"
 VERSION = 1
 
 
+@codec.document(header=(FORMAT, VERSION))
+@dataclass(frozen=True)
+class _TaskSetDocument:
+    """The file layout of a task set (a :class:`TaskSet` is not a dataclass)."""
+
+    m: int
+    tasks: Tuple[Task, ...] = ()
+
+
 def task_to_dict(task: Task) -> Dict[str, Any]:
     """One task as a plain JSON-ready dict."""
-    out: Dict[str, Any] = {
-        "task_id": task.task_id,
-        "level": task.level.name,
-        "period": task.period,
-        "pwcets": {CriticalityLevel(k).name: v for k, v in task.pwcets.items()},
-    }
-    if task.relative_pp is not None:
-        out["relative_pp"] = task.relative_pp
-    if task.tolerance is not None:
-        out["tolerance"] = task.tolerance
-    if task.cpu is not None:
-        out["cpu"] = task.cpu
-    if task.phase:
-        out["phase"] = task.phase
-    if task.name:
-        out["name"] = task.name
-    return out
+    return codec.encode(task)
 
 
 def task_from_dict(data: Dict[str, Any]) -> Task:
-    """Inverse of :func:`task_to_dict`.
-
-    Raises :class:`ValueError` on unknown levels or malformed fields (the
-    Task constructor revalidates everything else).
-    """
-    try:
-        level = CriticalityLevel[data["level"]]
-    except KeyError as exc:
-        raise ValueError(f"unknown criticality level {data.get('level')!r}") from exc
-    try:
-        pwcets = {CriticalityLevel[k]: float(v) for k, v in data.get("pwcets", {}).items()}
-    except KeyError as exc:
-        raise ValueError(f"unknown PWCET level in {data.get('pwcets')!r}") from exc
-    return Task(
-        task_id=int(data["task_id"]),
-        level=level,
-        period=float(data["period"]),
-        pwcets=pwcets,
-        relative_pp=(float(data["relative_pp"]) if "relative_pp" in data else None),
-        tolerance=(float(data["tolerance"]) if "tolerance" in data else None),
-        cpu=(int(data["cpu"]) if "cpu" in data else None),
-        phase=float(data.get("phase", 0.0)),
-        name=str(data.get("name", "")),
-    )
+    """Inverse of :func:`task_to_dict` (the Task constructor revalidates)."""
+    return codec.decode(Task, data)
 
 
 def taskset_to_json(ts: TaskSet, indent: int = 2) -> str:
     """Serialize a task set to a JSON string."""
-    doc = {
-        "format": FORMAT,
-        "version": VERSION,
-        "m": ts.m,
-        "tasks": [task_to_dict(t) for t in ts],
-    }
+    doc = codec.encode(_TaskSetDocument(m=ts.m, tasks=tuple(ts)))
     return json.dumps(doc, indent=indent)
 
 
 def taskset_from_json(text: str) -> TaskSet:
     """Parse a task set from a JSON string (inverse of :func:`taskset_to_json`)."""
-    doc = json.loads(text)
-    if doc.get("format") != FORMAT:
-        raise ValueError(
-            f"not a {FORMAT} document (format={doc.get('format')!r})"
-        )
-    if doc.get("version") != VERSION:
-        raise ValueError(f"unsupported {FORMAT} version {doc.get('version')!r}")
-    tasks = [task_from_dict(d) for d in doc.get("tasks", [])]
-    return TaskSet(tasks, m=int(doc["m"]))
+    doc = codec.decode(_TaskSetDocument, json.loads(text))
+    return TaskSet(doc.tasks, m=doc.m)

@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Annotated, Mapping, Optional
 
+from repro.io.codec import document
 from repro.util.validation import check_nonnegative, check_positive
 
 __all__ = ["CriticalityLevel", "Task"]
@@ -49,6 +50,7 @@ class CriticalityLevel(enum.IntEnum):
         return self <= other
 
 
+@document(omit_default=("relative_pp", "tolerance", "cpu", "phase", "name"))
 @dataclass(frozen=True)
 class Task:
     """A sporadic MC² task.
@@ -88,7 +90,9 @@ class Task:
     task_id: int
     level: CriticalityLevel
     period: float
-    pwcets: Mapping[CriticalityLevel, float] = field(default_factory=dict)
+    pwcets: Mapping[Annotated[CriticalityLevel, "PWCET level"], float] = field(
+        default_factory=dict
+    )
     relative_pp: Optional[float] = None
     tolerance: Optional[float] = None
     cpu: Optional[int] = None

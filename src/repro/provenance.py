@@ -48,6 +48,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
+from repro.io import codec
 from repro.io.canonical import canonical_json, doc_digest, sha256_hex
 from repro.util.atomicio import atomic_write_text
 
@@ -147,6 +148,12 @@ def kernel_info(kind: str, cells: Sequence[Any]) -> Dict[str, List[str]]:
 # ----------------------------------------------------------------------
 # The manifest
 # ----------------------------------------------------------------------
+@codec.document(
+    header=(PROVENANCE_FORMAT, PROVENANCE_VERSION),
+    unkeyed=("artifact", "code", "owners"),
+    order=("kind", "campaign", "artifact_sha256", "cells", "kernel",
+           "artifact", "code", "owners"),
+)
 @dataclass(frozen=True)
 class ProvenanceManifest:
     """One merged artifact's attested lineage (``repro-provenance`` v1).
@@ -168,26 +175,18 @@ class ProvenanceManifest:
     code: Dict[str, str] = field(default_factory=dict)
     owners: Tuple[Dict[str, Any], ...] = ()
 
-    def _identity_doc(self) -> Dict[str, Any]:
-        return {
-            "format": PROVENANCE_FORMAT,
-            "version": PROVENANCE_VERSION,
-            "kind": self.kind,
-            "campaign": self.campaign,
-            "artifact_sha256": self.artifact_sha256,
-            "cells": [{"key": k, "digest": d} for k, d in self.cells],
-            "kernel": self.kernel,
-        }
+    def _identity_doc(self, keyed: bool = True) -> Dict[str, Any]:
+        """The manifest document, by default only its keyed fields."""
+        doc = codec.encode(self, keyed=keyed)
+        doc["cells"] = [{"key": k, "digest": d} for k, d in self.cells]
+        return doc
 
     def key(self) -> str:
         """Content address of the manifest's result-determining core."""
         return sha256_hex(canonical_json(self._identity_doc()))
 
     def to_dict(self) -> Dict[str, Any]:
-        doc = self._identity_doc()
-        doc["artifact"] = self.artifact
-        doc["code"] = dict(self.code)
-        doc["owners"] = [dict(o) for o in self.owners]
+        doc = self._identity_doc(keyed=False)
         doc["key"] = self.key()
         return doc
 
@@ -197,32 +196,15 @@ class ProvenanceManifest:
 
     @classmethod
     def from_dict(cls, doc: Dict[str, Any]) -> "ProvenanceManifest":
-        if not isinstance(doc, dict):
-            raise ProvenanceError("manifest is not a JSON object")
-        if doc.get("format") != PROVENANCE_FORMAT:
-            raise ProvenanceError(
-                f"not a {PROVENANCE_FORMAT} document: {doc.get('format')!r}"
-            )
-        if doc.get("version") != PROVENANCE_VERSION:
-            raise ProvenanceError(
-                f"unsupported {PROVENANCE_FORMAT} version {doc.get('version')!r}"
-            )
-        try:
-            cells = tuple(
-                (str(c["key"]), str(c["digest"])) for c in doc["cells"]
-            )
-            manifest = cls(
-                kind=str(doc["kind"]),
-                campaign=str(doc["campaign"]),
-                artifact=str(doc.get("artifact", "merged.json")),
-                artifact_sha256=str(doc["artifact_sha256"]),
-                cells=cells,
-                kernel=dict(doc.get("kernel", {})),
-                code=dict(doc.get("code", {})),
-                owners=tuple(dict(o) for o in doc.get("owners", ())),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ProvenanceError(f"malformed manifest: {exc}") from exc
+        """Read a manifest; :class:`ProvenanceError` names the bad field.
+
+        ``cells`` are written as ``{key, digest}`` objects; a recorded
+        ``key`` must match the content it is recomputed from.
+        """
+        cells = doc.get("cells") if isinstance(doc, dict) else None
+        if isinstance(cells, list) and all(isinstance(c, dict) for c in cells):
+            doc = dict(doc, cells=[[c.get("key"), c.get("digest")] for c in cells])
+        manifest = codec.decode(cls, doc, error=ProvenanceError)
         recorded = doc.get("key")
         if recorded is not None and recorded != manifest.key():
             raise ProvenanceError(

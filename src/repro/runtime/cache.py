@@ -33,11 +33,12 @@ import sys
 from typing import Optional, Union
 
 from repro.experiments.metrics import RunResult
+from repro.io.canonical import doc_digest
+from repro.io.codec import keyed_address
 from repro.util.atomicio import atomic_write_text
 
-# NOTE: repro.io.canonical is imported lazily inside methods — importing
-# the repro.io package at module level would close an import cycle
-# (repro.io -> experiments.figures -> runtime -> cache).
+# NOTE: repro.io.results_json is imported lazily inside methods — it
+# builds on experiments.figures, which builds on this package.
 
 __all__ = ["ResultCache", "default_cache_dir"]
 
@@ -81,16 +82,11 @@ class ResultCache:
 
     @staticmethod
     def _spec_address(spec_doc: dict) -> str:
-        """The content address a stored spec document hashes to.
+        """The content address a stored spec document hashes to: the
+        fields :class:`~repro.runtime.spec.RunSpec` keys (not ``obs``)."""
+        from repro.runtime.spec import RunSpec
 
-        Mirrors :func:`repro.io.runspec_json.spec_key`: the key covers
-        the spec's *core* dict only — the advisory ``"obs"`` block is
-        excluded, so observability settings never split cache entries.
-        """
-        from repro.io.canonical import canonical_json, sha256_hex
-
-        core = {k: v for k, v in spec_doc.items() if k != "obs"}
-        return sha256_hex(canonical_json(core))
+        return keyed_address(RunSpec, spec_doc)
 
     def _corrupt(self, path: pathlib.Path, why: str) -> None:
         print(
@@ -107,7 +103,6 @@ class ResultCache:
         recorded digest — so a corrupted or transplanted entry warns on
         stderr and misses instead of silently returning wrong results.
         """
-        from repro.io.canonical import doc_digest
         from repro.io.results_json import run_result_from_dict
 
         path = self._path(key)
@@ -141,7 +136,6 @@ class ResultCache:
 
     def put(self, key: str, spec_doc: dict, result: RunResult) -> None:
         """Store *result* under *key*, evicting past ``max_entries``."""
-        from repro.io.canonical import doc_digest
         from repro.io.results_json import run_result_to_dict
 
         result_doc = run_result_to_dict(result)

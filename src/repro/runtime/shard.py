@@ -64,13 +64,15 @@ import concurrent.futures
 import fcntl
 import functools
 import hashlib
+import importlib
 import json
 import os
 import pathlib
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import (
+    Annotated,
     Any,
     Callable,
     Dict,
@@ -91,15 +93,13 @@ from repro.faults.campaign import (
     run_cell,
     scorecard_json_chunks,
 )
+from repro.io import codec
+from repro.io.canonical import canonical_json, sha256_hex
 from repro.obs.report import ShardReport
 from repro.runtime.cache import ResultCache
 from repro.runtime.executor import PoolDegradation, SweepExecutor, map_pool_resilient, run_spec
 from repro.runtime.spec import RunSpec
 from repro.util.atomicio import atomic_write_text, atomic_writer
-
-# NOTE: repro.io.canonical is imported lazily inside functions, as in
-# repro.runtime.cache: importing it runs repro/io/__init__.py, whose
-# results_json -> experiments.figures -> runtime chain would be circular.
 
 __all__ = [
     "CAMPAIGN_FORMAT",
@@ -163,6 +163,8 @@ class _Kind:
     """How the orchestrator handles one campaign flavour."""
 
     name: str
+    #: The cell class (``RunSpec`` / ``CampaignCell``).
+    cell_type: type
     cell_key: Callable[[Any], str]
     cell_to_dict: Callable[[Any], Dict[str, Any]]
     cell_from_dict: Callable[[Dict[str, Any]], Any]
@@ -258,38 +260,32 @@ def run_local(
     return [row for slice_rows in nested for row in slice_rows], degradation
 
 
-def _sweep_cell_to_dict(spec: RunSpec) -> Dict[str, Any]:
-    from repro.io.runspec_json import runspec_to_dict
+def _io(module: str, name: str) -> Callable[[Any], Any]:
+    """``repro.io.<module>.<name>``, looked up (and imported) at every call."""
 
-    return runspec_to_dict(spec)
+    def call(arg: Any) -> Any:
+        return getattr(importlib.import_module(f"repro.io.{module}"), name)(arg)
 
-
-def _sweep_cell_from_dict(doc: Dict[str, Any]) -> RunSpec:
-    from repro.io.runspec_json import runspec_from_dict
-
-    return runspec_from_dict(doc)
+    return call
 
 
-def _sweep_result_to_dict(result: RunResult) -> Dict[str, Any]:
-    from repro.io.results_json import run_result_to_dict
-
-    return run_result_to_dict(result)
-
-
-# The execute entries look run_spec / run_cell up at call time, so a
-# wrapper installed on this module's names sees every cell.
+# The execute and sweep document entries look their functions up at call
+# time, so a wrapper installed on this module or on repro.io's sees every
+# cell.
 _KINDS: Dict[str, _Kind] = {
     "sweep": _Kind(
         name="sweep",
+        cell_type=RunSpec,
         cell_key=lambda spec: spec.key(),
-        cell_to_dict=_sweep_cell_to_dict,
-        cell_from_dict=_sweep_cell_from_dict,
+        cell_to_dict=_io("runspec_json", "runspec_to_dict"),
+        cell_from_dict=_io("runspec_json", "runspec_from_dict"),
         execute=lambda spec, tasksets=None: run_spec(spec, tasksets),
-        result_to_dict=_sweep_result_to_dict,
+        result_to_dict=_io("results_json", "run_result_to_dict"),
         cacheable=True,
     ),
     "faults": _Kind(
         name="faults",
+        cell_type=CampaignCell,
         cell_key=lambda cell: cell.key(),
         cell_to_dict=lambda cell: cell.to_dict(),
         cell_from_dict=CampaignCell.from_dict,
@@ -374,8 +370,6 @@ class ShardedCampaign:
         self.shards: Tuple[ShardSpec, ...] = tuple(self._compute_shards())
 
     def _compute_key(self) -> str:
-        from repro.io.canonical import canonical_json, sha256_hex
-
         doc = {
             "format": CAMPAIGN_FORMAT,
             "version": CAMPAIGN_VERSION,
@@ -386,8 +380,6 @@ class ShardedCampaign:
         return sha256_hex(canonical_json(doc))
 
     def _compute_shards(self) -> List[ShardSpec]:
-        from repro.io.canonical import canonical_json, sha256_hex
-
         out: List[ShardSpec] = []
         for idx, start in enumerate(range(0, len(self.cells), self.shard_size)):
             stop = min(start + self.shard_size, len(self.cells))
@@ -405,7 +397,6 @@ class ShardedCampaign:
 
     # -- persistence ---------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
-        k = _KINDS[self.kind]
         return {
             "format": CAMPAIGN_FORMAT,
             "version": CAMPAIGN_VERSION,
@@ -413,29 +404,39 @@ class ShardedCampaign:
             "key": self.campaign_key,
             "shard_size": self.shard_size,
             "meta": self.meta,
-            "cells": [k.cell_to_dict(c) for c in self.cells],
+            "cells": codec.encode(self.cells, Tuple[_KINDS[self.kind].cell_type, ...]),
         }
 
     @classmethod
     def from_dict(cls, doc: Dict[str, Any]) -> "ShardedCampaign":
-        if doc.get("format") != CAMPAIGN_FORMAT:
-            raise ValueError(f"not a {CAMPAIGN_FORMAT} document: {doc.get('format')!r}")
-        kind = doc["kind"]
-        k = _KINDS[kind]
+        """Read a campaign document; its derived ``key`` must match."""
+        head = codec.decode(_CampaignDocument, doc)
+        kind = get_kind(head.kind)
         campaign = cls(
-            kind=kind,
-            cells=[k.cell_from_dict(c) for c in doc["cells"]],
-            shard_size=int(doc["shard_size"]),
-            meta=dict(doc.get("meta", {})),
+            kind=head.kind,
+            cells=codec.decode(Annotated[Tuple[kind.cell_type, ...], "cells"], doc.get("cells")),
+            shard_size=head.shard_size,
+            meta=head.meta,
         )
-        recorded = doc.get("key")
-        if recorded is not None and recorded != campaign.campaign_key:
+        if head.key is not None and head.key != campaign.campaign_key:
             raise ValueError(
-                f"campaign manifest key {recorded[:12]} does not match its "
+                f"campaign manifest key {head.key[:12]} does not match its "
                 f"reconstructed cells ({campaign.campaign_key[:12]}); the "
                 "manifest is corrupt or from an incompatible version"
             )
         return campaign
+
+
+@codec.document(header=(CAMPAIGN_FORMAT, CAMPAIGN_VERSION))
+@dataclass(frozen=True)
+class _CampaignDocument:
+    """The typed head of a campaign document; ``cells`` are decoded by
+    their kind's class, and ``key`` is derived from them."""
+
+    kind: str
+    shard_size: int
+    meta: Dict[str, Any] = field(default_factory=dict)
+    key: Optional[str] = None
 
 
 # ----------------------------------------------------------------------
@@ -1160,8 +1161,6 @@ def _write_sweep_artifact(
     atomically.  Returns the artifact's sha256 (hashed in the same pass)
     and the per-cell digests for the provenance manifest.
     """
-    from repro.io.canonical import canonical_json, sha256_hex
-
     cells = 0
     truncated = 0
     events_total = 0

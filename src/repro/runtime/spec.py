@@ -30,12 +30,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
+from repro.io.codec import document
 from repro.model.taskset import TaskSet
 from repro.runtime.registry import monitor_registry
 from repro.sim.kernel import KernelConfig
 from repro.util.validation import store_floats
 from repro.workload.generator import GeneratorParams, generate_taskset
 from repro.workload.scenarios import OverloadScenario
+from repro.workload.traffic import TrafficSpec
 
 __all__ = [
     "TaskSetSpec",
@@ -178,7 +180,7 @@ class MonitorSpec:
     """
 
     kind: str
-    param: float = 1.0
+    param: Optional[float] = 1.0
     extra: Optional[float] = None
 
     def __post_init__(self) -> None:
@@ -204,6 +206,7 @@ class MonitorSpec:
         return entry.label(self.param, self._resolved_extra())
 
 
+@document(omit_default=("backend",))
 @dataclass(frozen=True)
 class KernelSpec:
     """The serializable subset of :class:`~repro.sim.kernel.KernelConfig`.
@@ -289,6 +292,13 @@ class ObsSpec:
         return self.trace_dir is not None
 
 
+@document(
+    header=("repro-runspec", 1),
+    omit_default=("obs", "traffic"),
+    unkeyed=("obs",),
+    order=("taskset", "scenario", "monitor", "kernel", "horizon",
+           "confirm_window", "level_c_budgets", "traffic", "obs"),
+)
 @dataclass(frozen=True)
 class RunSpec:
     """One sweep cell: everything that determines one ``RunResult``.
@@ -299,7 +309,8 @@ class RunSpec:
     randomness is the task-set generator, whose seed the spec pins — so
     equal keys mean bit-for-bit equal results.  The ``obs`` component
     is observation-only and excluded from the hash (see
-    :class:`ObsSpec`).
+    :class:`ObsSpec`).  ``obs`` and ``traffic`` are written only when
+    set, after the older fields, so earlier documents keep their bytes.
     """
 
     taskset: TaskSetSpec
@@ -314,7 +325,7 @@ class RunSpec:
     #: seeded arrival sources served by aperiodic server tasks appended to
     #: the materialized task set at run time.  Enters the canonical JSON
     #: only when set, so pre-traffic specs keep their exact cache keys.
-    traffic: Optional["TrafficSpec"] = None  # noqa: F821 - forward ref
+    traffic: Optional[TrafficSpec] = None
 
     def __post_init__(self) -> None:
         if self.horizon <= 0:

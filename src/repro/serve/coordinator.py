@@ -679,15 +679,21 @@ class Coordinator:
                 if not data:
                     break
                 read = asyncio.ensure_future(reader.read(65536))
-                for msg in decoder.feed(data):
-                    replies = await self._answer(msg, read)
-                    if replies is None:
-                        return
+                for line in decoder.lines(data):
+                    try:
+                        msg = wire.decode_message(line)
+                    except wire.ProtocolError as exc:
+                        # A bad frame is answered, and the next one read.
+                        replies = [wire.ErrorReply(reason=str(exc))]
+                    else:
+                        replies = await self._answer(msg, read)
+                        if replies is None:
+                            return
                     for reply in replies:
                         writer.write(wire.encode_message(reply))
                 await writer.drain()
-        except (ConnectionError, wire.ProtocolError):
-            pass  # a worker died or sent garbage; its lease will expire
+        except ConnectionError:
+            pass  # a worker died; its lease will expire
         finally:
             read.cancel()
             try:

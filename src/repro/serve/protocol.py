@@ -13,9 +13,15 @@ Versioning and forward compatibility follow the repo's artifact rules:
   rejects a peer speaking a different major version;
 * **unknown fields are ignored** on decode (a v1.x peer may add fields
   without breaking v1 receivers) — pinned by the property tests;
-* an unknown ``type`` or a missing required field raises
-  :class:`ProtocolError` (torn frames must fail loudly, not read as
-  zeroed messages).
+* an unknown ``type``, a field of the wrong JSON type or a missing
+  required field raises :class:`ProtocolError` naming the field (torn
+  frames must fail loudly, not read as zeroed messages); the
+  coordinator answers such a frame with one ``error`` reply and reads
+  on.
+
+Messages are encoded and decoded by :mod:`repro.io.codec`, the codec of
+every document (docs/architecture.md, "Documents"); the ``type`` tag is
+added here.
 
 The conversation is strict request/reply over one TCP connection: every
 request message has exactly one reply message, except ``fetch`` whose
@@ -46,11 +52,11 @@ waited when the cap is reached.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Tuple, Type
+from typing import Any, Dict, Iterator, List, Tuple, Type, Union
 
+from repro.io import codec
 from repro.io.canonical import canonical_json
 
 __all__ = [
@@ -411,17 +417,17 @@ MESSAGE_TYPES: Dict[str, Type[Message]] = {
 
 def encode_message(msg: Message) -> bytes:
     """One wire frame: canonical JSON object + ``"\\n"``."""
-    doc = dataclasses.asdict(msg)
+    doc = codec.encode(msg)
     doc["type"] = msg.TYPE
     return (canonical_json(doc) + "\n").encode("utf-8")
 
 
-def decode_message(line: str) -> Message:
+def decode_message(line: Union[str, bytes]) -> Message:
     """Decode one complete line into its message.
 
     Unknown *fields* are dropped (forward compatibility); an unknown
-    *type*, non-object payload, or missing required field raises
-    :class:`ProtocolError`.
+    *type*, a non-object payload, or a field of the wrong JSON type
+    raises :class:`ProtocolError` naming the field.
     """
     try:
         doc = json.loads(line)
@@ -430,15 +436,10 @@ def decode_message(line: str) -> Message:
     if not isinstance(doc, dict):
         raise ProtocolError(f"frame is not a JSON object: {line[:80]!r}")
     tag = doc.get("type")
-    cls = MESSAGE_TYPES.get(tag)
+    cls = MESSAGE_TYPES.get(tag) if isinstance(tag, str) else None
     if cls is None:
         raise ProtocolError(f"unknown message type {tag!r}")
-    names = {f.name for f in dataclasses.fields(cls)}
-    kwargs = {k: v for k, v in doc.items() if k in names}
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:  # pragma: no cover - all v1 fields default
-        raise ProtocolError(f"bad {tag} frame: {exc}") from exc
+    return codec.decode(cls, doc, error=ProtocolError)
 
 
 class LineDecoder:
@@ -448,7 +449,8 @@ class LineDecoder:
     middle of a frame — and it yields each message exactly once, in
     order.  The unterminated tail stays buffered until its newline
     arrives; :attr:`pending` exposes the buffered byte count (a clean
-    shutdown should end with 0).
+    shutdown should end with 0).  :meth:`lines` yields the frames
+    undecoded, for a receiver that answers a bad frame and reads on.
     """
 
     def __init__(self) -> None:
@@ -458,16 +460,21 @@ class LineDecoder:
     def pending(self) -> int:
         return len(self._buf)
 
-    def feed(self, data: bytes) -> Iterator[Message]:
+    def lines(self, data: bytes) -> Iterator[bytes]:
+        """The complete, non-blank frames buffered so far, each consumed
+        as it is yielded."""
         self._buf.extend(data)
         while True:
             nl = self._buf.find(b"\n")
             if nl < 0:
                 return
-            line = self._buf[:nl].decode("utf-8")
+            line = bytes(self._buf[:nl])
             del self._buf[: nl + 1]
-            if not line.strip():
-                continue
+            if line.strip():
+                yield line
+
+    def feed(self, data: bytes) -> Iterator[Message]:
+        for line in self.lines(data):
             yield decode_message(line)
 
 

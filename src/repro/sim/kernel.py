@@ -372,6 +372,10 @@ class MC2Kernel:
         if not self._finished:
             self._finished = True
             self._finalize(self.engine.now)
+            # The fast bind of __init__ is a bound method of this kernel
+            # stored on it; dropping it lets reference counting free a
+            # finished kernel.
+            self.__dict__.pop("_reschedule", None)
         return self.trace
 
     def run(

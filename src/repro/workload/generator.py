@@ -27,12 +27,13 @@ Methodology reproduced from the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.gel import gfl_relative_pp
 from repro.core.tolerance import assign_tolerances
+from repro.io.codec import document
 from repro.model.task import CriticalityLevel, Task
 from repro.model.taskset import TaskSet
 from repro.util.timeunits import MS
@@ -51,9 +52,14 @@ __all__ = ["GeneratorParams", "generate_taskset", "generate_tasksets", "taskset_
 _MIN_FILL = 1e-4
 
 
+@document(strict=True)
 @dataclass(frozen=True)
 class GeneratorParams:
-    """Knobs of the Sec. 5 generator (defaults are the paper's values)."""
+    """Knobs of the Sec. 5 generator (defaults are the paper's values).
+
+    Decoding refuses unknown fields: a misspelt knob must not silently
+    fall back to the paper's value.
+    """
 
     m: int = 4
     #: Per-CPU level-A capacity share at level-C PWCETs.
@@ -73,7 +79,7 @@ class GeneratorParams:
     #: Per-task utilization distribution ``U(lo, hi)`` at the task's own
     #: criticality level; the paper's "uniform medium" is (0.1, 0.4).
     #: See workload.distributions.UNIFORM_RANGES for light/heavy.
-    util_range: tuple = (0.1, 0.4)
+    util_range: Tuple[float, float] = (0.1, 0.4)
     #: Hard cap on a single level-C task's level-C utilization (heavy
     #: distributions can otherwise exceed the per-CPU availability left
     #: by A/B — the Fig. 3 infeasibility).  None disables the cap.

@@ -52,10 +52,11 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import itemgetter
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Annotated, Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.io import codec
 from repro.io.canonical import canonical_json
 from repro.model.behavior import ExecutionBehavior
 from repro.model.task import CriticalityLevel, Task
@@ -69,6 +70,7 @@ __all__ = [
     "MMPPSource",
     "DiurnalCurveSource",
     "TraceReplaySource",
+    "Source",
     "ServerSpec",
     "TrafficFlow",
     "TrafficSpec",
@@ -168,6 +170,8 @@ class PoissonSource:
     demand: str = "exp"
     seed: int = 0
 
+    kind = "poisson"
+
     def __post_init__(self) -> None:
         check_positive("rate", self.rate)
         check_positive("mean_demand", self.mean_demand)
@@ -218,6 +222,8 @@ class MMPPSource:
     demand: str = "exp"
     seed: int = 0
     start_state: int = 0
+
+    kind = "mmpp"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "rates", tuple(float(r) for r in self.rates))
@@ -323,6 +329,8 @@ class DiurnalCurveSource:
     seed: int = 0
     phase: float = 0.0
 
+    kind = "diurnal"
+
     def __post_init__(self) -> None:
         check_nonnegative("base_rate", self.base_rate)
         check_positive("peak_rate", self.peak_rate)
@@ -410,6 +418,8 @@ class TraceReplaySource:
 
     ndjson: str
 
+    kind = "replay"
+
     def __post_init__(self) -> None:
         self._parsed()  # validate eagerly: a bad trace fails at spec build
 
@@ -447,69 +457,20 @@ class TraceReplaySource:
         return arrivals[-1].time if arrivals else 0.0
 
 
-#: kind tag -> source class, for canonical (de)serialization.
-_SOURCE_KINDS = {
-    "poisson": PoissonSource,
-    "mmpp": MMPPSource,
-    "diurnal": DiurnalCurveSource,
-    "replay": TraceReplaySource,
-}
+_SOURCE_TYPES = (PoissonSource, MMPPSource, DiurnalCurveSource, TraceReplaySource)
+
+#: An arrival source; documents tell the members apart by their ``kind``.
+Source = Annotated[Union[_SOURCE_TYPES], "traffic source"]
 
 
-def _source_kind(source: Any) -> str:
-    for kind, cls in _SOURCE_KINDS.items():
-        if isinstance(source, cls):
-            return kind
-    raise TypeError(f"unknown traffic source type {type(source).__name__}")
-
-
-def source_to_dict(source: Any) -> Dict[str, Any]:
+def source_to_dict(source: Source) -> Dict[str, Any]:
     """A source as a JSON-ready dict with a ``kind`` discriminator."""
-    kind = _source_kind(source)
-    doc: Dict[str, Any] = {"kind": kind}
-    if kind == "poisson":
-        doc.update(rate=source.rate, mean_demand=source.mean_demand,
-                   demand=source.demand, seed=source.seed)
-    elif kind == "mmpp":
-        doc.update(rates=list(source.rates), dwells=list(source.dwells),
-                   mean_demand=source.mean_demand, demand=source.demand,
-                   seed=source.seed, start_state=source.start_state)
-    elif kind == "diurnal":
-        doc.update(base_rate=source.base_rate, peak_rate=source.peak_rate,
-                   period=source.period, mean_demand=source.mean_demand,
-                   demand=source.demand, seed=source.seed, phase=source.phase)
-    else:  # replay
-        doc.update(ndjson=source.ndjson)
-    return doc
+    return codec.encode(source, Source)
 
 
-def source_from_dict(doc: Dict[str, Any]) -> Any:
+def source_from_dict(doc: Dict[str, Any]) -> Source:
     """Exact inverse of :func:`source_to_dict`."""
-    kind = doc.get("kind")
-    if kind == "poisson":
-        return PoissonSource(
-            rate=float(doc["rate"]), mean_demand=float(doc["mean_demand"]),
-            demand=str(doc.get("demand", "exp")), seed=int(doc.get("seed", 0)),
-        )
-    if kind == "mmpp":
-        return MMPPSource(
-            rates=tuple(float(r) for r in doc["rates"]),
-            dwells=tuple(float(d) for d in doc["dwells"]),
-            mean_demand=float(doc["mean_demand"]),
-            demand=str(doc.get("demand", "exp")),
-            seed=int(doc.get("seed", 0)),
-            start_state=int(doc.get("start_state", 0)),
-        )
-    if kind == "diurnal":
-        return DiurnalCurveSource(
-            base_rate=float(doc["base_rate"]), peak_rate=float(doc["peak_rate"]),
-            period=float(doc["period"]), mean_demand=float(doc["mean_demand"]),
-            demand=str(doc.get("demand", "exp")), seed=int(doc.get("seed", 0)),
-            phase=float(doc.get("phase", 0.0)),
-        )
-    if kind == "replay":
-        return TraceReplaySource(ndjson=str(doc["ndjson"]))
-    raise ValueError(f"unknown traffic source kind {kind!r}")
+    return codec.decode(Source, doc)
 
 
 # ----------------------------------------------------------------------
@@ -616,11 +577,12 @@ class ServerSpec:
 class TrafficFlow:
     """One arrival source mapped onto one server bank."""
 
-    source: Any
+    source: Source
     server: ServerSpec = field(default_factory=ServerSpec)
 
     def __post_init__(self) -> None:
-        _source_kind(self.source)  # raises on unknown source types
+        if not isinstance(self.source, _SOURCE_TYPES):
+            raise TypeError(f"unknown traffic source type {type(self.source).__name__}")
 
 
 @dataclass(frozen=True)
@@ -723,44 +685,12 @@ class TrafficSpec:
 
 def traffic_to_dict(spec: TrafficSpec) -> Dict[str, Any]:
     """*spec* as the JSON-ready dict embedded in canonical RunSpec JSON."""
-    return {
-        "flows": [
-            {
-                "source": source_to_dict(flow.source),
-                "server": {
-                    "period": flow.server.period,
-                    "budget": flow.server.budget,
-                    "level": flow.server.level,
-                    "policy": flow.server.policy,
-                    "count": flow.server.count,
-                    "tolerance": flow.server.tolerance,
-                },
-            }
-            for flow in spec.flows
-        ]
-    }
+    return codec.encode(spec)
 
 
 def traffic_from_dict(doc: Dict[str, Any]) -> TrafficSpec:
     """Exact inverse of :func:`traffic_to_dict`."""
-    flows = []
-    for f in doc["flows"]:
-        srv = f.get("server", {})
-        flows.append(TrafficFlow(
-            source=source_from_dict(f["source"]),
-            server=ServerSpec(
-                period=float(srv.get("period", 0.025)),
-                budget=float(srv.get("budget", 0.005)),
-                level=str(srv.get("level", "C")),
-                policy=str(srv.get("policy", "polling")),
-                count=int(srv.get("count", 1)),
-                tolerance=(
-                    float(srv["tolerance"])
-                    if srv.get("tolerance") is not None else None
-                ),
-            ),
-        ))
-    return TrafficSpec(flows=tuple(flows))
+    return codec.decode(TrafficSpec, doc)
 
 
 # ----------------------------------------------------------------------

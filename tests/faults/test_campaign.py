@@ -7,6 +7,7 @@ this process or across a process pool.
 
 from __future__ import annotations
 
+import gc
 import json
 from dataclasses import replace
 
@@ -22,7 +23,16 @@ from repro.faults.campaign import (
     run_campaign,
     run_cell,
 )
-from repro.faults.spec import ClockSkew, CpuStall, ExecutionSpike, FaultPlan
+from repro.faults.spec import (
+    ClockSkew,
+    CpuStall,
+    ExecutionSpike,
+    FaultPlan,
+    MonitorOutage,
+    ReleaseJitter,
+    SpeedCommandDelay,
+    SpeedCommandDrop,
+)
 from repro.runtime.executor import PoolDegradation, run_spec
 from repro.runtime.spec import KernelSpec, MonitorSpec, RunSpec, ScenarioSpec, TaskSetSpec
 from repro.workload.generator import GeneratorParams
@@ -238,3 +248,40 @@ class TestScorecard:
         for o in serial.outcomes:
             again = CellOutcome.from_dict(o.to_dict())
             assert again == o
+
+
+def _leaves_no_cycle(run) -> bool:
+    """Whether a second *run()* leaves nothing for the cyclic collector."""
+    run()
+    gc.collect()
+    gc.disable()
+    try:
+        run()
+        return gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("backend", ["reference", "soa"])
+def test_finished_cells_are_freed_by_reference_counting(small_spec, make_cell, backend):
+    """A judged cell, faulted or not, leaves no reference cycle behind:
+    its kernel, trace and fault plane go when run_cell returns."""
+    spec = replace(small_spec, kernel=KernelSpec(backend=backend, record_intervals=True))
+    clean = CampaignCell(run=spec, plan=FaultPlan(seed=5))
+    faulted = make_cell(
+        spec,
+        MonitorOutage(0.4, 0.8, mode="queue"),
+        SpeedCommandDelay(0.5, 1.0, delay=0.1),
+        SpeedCommandDrop(1.0, 1.2),
+        ClockSkew(0.5, 1.5, magnitude=0.01),
+        ExecutionSpike(0.5, 1.0, factor=2.0, prob=0.5),
+        ReleaseJitter(0.3, 1.2, magnitude=0.01),
+        CpuStall(cpu=0, start=0.2, end=0.4),
+    )
+    assert _leaves_no_cycle(lambda: run_cell(clean))
+    assert _leaves_no_cycle(lambda: run_cell(faulted))
+
+
+def test_finished_reference_sweep_cell_is_freed_by_reference_counting(small_spec):
+    spec = replace(small_spec, kernel=KernelSpec(backend="reference"))
+    assert _leaves_no_cycle(lambda: run_spec(spec))

@@ -873,3 +873,44 @@ class TestParkedRequests:
         assert isinstance(jobs, wire.JobsReply) and jobs.campaigns[0]["leased"] == 1
         peer.close()
         assert svc.coord.parked == 0
+
+
+# ----------------------------------------------------------------------
+# Bad frames: one error reply naming the field, and the connection reads on
+# ----------------------------------------------------------------------
+#: name -> (raw frame, what the error reply must name)
+BAD_FRAMES = {
+    "lease-owner-list": (b'{"owner":[1],"type":"lease"}\n', "LeaseRequest.owner"),
+    "lease-wait-string": (
+        b'{"owner":"w","type":"lease","wait_s":"x"}\n', "LeaseRequest.wait_s"
+    ),
+    "fetch-campaign-object": (b'{"campaign":{},"type":"fetch"}\n', "FetchRequest.campaign"),
+    "heartbeat-lists": (
+        b'{"campaign":[],"owner":[],"shard":[],"type":"heartbeat"}\n', "Heartbeat.owner"
+    ),
+    "telemetry-lists": (
+        b'{"campaign":[],"owner":[],"record":[],"type":"telemetry"}\n', "Telemetry.campaign"
+    ),
+    "not-json": (b"{nope\n", "not valid JSON"),
+    "unknown-type": (b'{"type":"warp_core"}\n', "unknown message type"),
+}
+
+
+class TestBadFrames:
+    @pytest.mark.parametrize("name", sorted(BAD_FRAMES))
+    def test_bad_frame_gets_an_error_and_the_connection_stays(self, name, make_service):
+        frame, names = BAD_FRAMES[name]
+        svc = make_service()
+        peer = _Peer(svc.addr, timeout=10.0)
+        try:
+            peer.send(frame)
+            reply = peer.recv()
+            assert isinstance(reply, wire.ErrorReply) and names in reply.reason
+            assert peer.request(wire.JobsRequest()) == wire.JobsReply()
+            # A bad frame in the same read as good ones: each is answered.
+            peer.send(frame + wire.encode_message(wire.JobsRequest()))
+            reply = peer.recv()
+            assert isinstance(reply, wire.ErrorReply) and names in reply.reason
+            assert peer.recv() == wire.JobsReply()
+        finally:
+            peer.close()
