@@ -24,8 +24,8 @@ needed: an artifact is trusted iff an independent party, running the
 same code over the same content-addressed inputs, reproduces the same
 bytes.  The coordinator's ``--verify-fraction`` spot-check mode
 (:mod:`repro.serve.coordinator`) applies the same digest comparison to
-a seeded fraction of each untrusted worker's streamed cells before
-committing their shards.
+a seeded fraction of the cells of every delivered shard before
+committing it.
 
 Manifest identity: :meth:`ProvenanceManifest.key` hashes only the
 result-determining core (campaign, cells+digests, artifact sha256,

@@ -79,6 +79,7 @@ from typing import (
     Iterable,
     Iterator,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -111,6 +112,8 @@ __all__ = [
     "ShardedCampaign",
     "CampaignStore",
     "get_kind",
+    "ShardColumns",
+    "run_shard",
     "run_local",
     "WorkStats",
     "work",
@@ -688,6 +691,43 @@ def _default_owner() -> str:
     return f"{os.uname().nodename}:{os.getpid()}"
 
 
+class ShardColumns(NamedTuple):
+    """A finished shard's per-cell manifest columns, in cell order."""
+
+    results: List[Dict[str, Any]]
+    cached: List[bool]
+    wall_ns: List[int]
+
+
+def run_shard(
+    kind: _Kind,
+    cells: Sequence[Any],
+    keys: Sequence[str],
+    cache: Optional[ResultCache] = None,
+    on_cell: Optional[Callable[[bool], None]] = None,
+    telemetry=None,
+) -> ShardColumns:
+    """Run one shard, as one task-set sharing scope, to its columns.
+
+    The one shard body of both transports: the file queue writes the
+    columns as the shard's manifest (:func:`_execute_shard`), and a
+    service worker sends them in one ``shard_done`` frame that the
+    coordinator writes the same way.  *on_cell* gets each cell's
+    ``cached`` flag as it lands (heartbeats, progress), and *telemetry*
+    a ``cell_done`` sample.
+    """
+    columns = ShardColumns([], [], [])
+    for result, was_cached, wall_ns in kind.run_cells(cells, keys, cache):
+        columns.results.append(kind.result_to_dict(result))
+        columns.cached.append(was_cached)
+        columns.wall_ns.append(wall_ns)
+        if on_cell is not None:
+            on_cell(was_cached)
+        if telemetry is not None:
+            telemetry.cell_done(was_cached, events=result.events, wall_ns=wall_ns)
+    return columns
+
+
 def _execute_shard(
     store: CampaignStore,
     campaign: ShardedCampaign,
@@ -698,38 +738,26 @@ def _execute_shard(
     on_cell: Optional[Callable[[bool], None]] = None,
     telemetry=None,
 ) -> Tuple[int, int]:
-    """Run one claimed shard to its manifest; returns (cells_run, hits).
+    """Run one claimed shard to its manifest; returns (cells_run, hits)."""
 
-    The shard is one task-set sharing scope (:meth:`_Kind.run_cells`).
-    """
-    kind = _KINDS[campaign.kind]
-    results: List[Dict[str, Any]] = []
-    cached_flags: List[bool] = []
-    wall: List[int] = []
-    t_shard = time.perf_counter_ns()
-    for result, was_cached, wall_ns in kind.run_cells(
-        campaign.cells[shard.start : shard.stop],
-        campaign.cell_keys[shard.start : shard.stop],
-        cache,
-    ):
-        results.append(kind.result_to_dict(result))
-        cached_flags.append(was_cached)
-        wall.append(wall_ns)
+    def beat(was_cached: bool) -> None:
         store.heartbeat(shard.shard_id, owner, clock)
         if on_cell is not None:
             on_cell(was_cached)
-        if telemetry is not None:
-            telemetry.cell_done(was_cached, events=result.events, wall_ns=wall_ns)
-    store.write_manifest(
-        campaign,
-        shard,
-        results,
-        cached_flags,
-        wall,
-        owner,
-        time.perf_counter_ns() - t_shard,
+
+    t_shard = time.perf_counter_ns()
+    results, cached, wall = run_shard(
+        _KINDS[campaign.kind],
+        campaign.cells[shard.start : shard.stop],
+        campaign.cell_keys[shard.start : shard.stop],
+        cache,
+        beat,
+        telemetry,
     )
-    hits = sum(cached_flags)
+    store.write_manifest(
+        campaign, shard, results, cached, wall, owner, time.perf_counter_ns() - t_shard
+    )
+    hits = sum(cached)
     return len(results) - hits, hits
 
 

@@ -2,9 +2,9 @@
 
 :class:`ServiceClient` is the small synchronous client the CLI uses
 (``repro-mc2 submit | jobs | status --service``): connect, handshake,
-one request/reply (or reply stream, for ``fetch``) per call, reconnect
-with exponential backoff plus jitter on connection loss — every request
-it issues is idempotent, so a retry after a partition is always safe.
+one request and its one reply per call, reconnect with exponential
+backoff plus jitter on connection loss — every request it issues is
+idempotent, so a retry after a partition is always safe.
 
 :class:`ServiceBackend` plugs the service into the executor seam
 (``make_executor(service_addr=...)``): ``run(specs)`` becomes *submit a
@@ -92,8 +92,8 @@ class ServiceClient:
             for msg in self._decoder.feed(data):
                 return msg
 
-    def _rpc(self, msg: wire.Message, stream_until=None) -> List[wire.Message]:
-        """Send *msg*; collect one reply (or a stream ending at a type).
+    def _rpc(self, msg: wire.Message) -> wire.Message:
+        """Send *msg*; return its one reply.
 
         Every ``repro-serve`` request is idempotent, so connection
         failures are retried from scratch with backoff + jitter.
@@ -104,14 +104,7 @@ class ServiceClient:
                 if self._sock is None:
                     self._connect()
                 self._send(msg)
-                if stream_until is None:
-                    return [self._recv()]
-                out: List[wire.Message] = []
-                while True:
-                    reply = self._recv()
-                    out.append(reply)
-                    if isinstance(reply, (stream_until, wire.ErrorReply)):
-                        return out
+                return self._recv()
             except (OSError, ConnectionError, wire.ProtocolError) as exc:
                 last = exc
                 self.close()
@@ -124,9 +117,9 @@ class ServiceClient:
             f"after {self.retries + 1} attempts: {last}"
         )
 
-    @staticmethod
-    def _one(replies: List[wire.Message], want) -> Any:
-        reply = replies[0]
+    def _call(self, msg: wire.Message, want) -> Any:
+        """:meth:`_rpc`, then check that the reply is a *want*."""
+        reply = self._rpc(msg)
         if isinstance(reply, wire.ErrorReply):
             raise wire.ProtocolError(reply.reason)
         if not isinstance(reply, want):
@@ -138,37 +131,23 @@ class ServiceClient:
     # -- requests -------------------------------------------------------
     def submit(self, campaign_doc: Dict[str, Any]) -> wire.SubmitOk:
         """Register a campaign document (``ShardedCampaign.to_dict()``)."""
-        return self._one(
-            self._rpc(wire.Submit(campaign=campaign_doc)), wire.SubmitOk
-        )
+        return self._call(wire.Submit(campaign=campaign_doc), wire.SubmitOk)
 
     def jobs(self) -> List[Dict[str, Any]]:
-        reply = self._one(self._rpc(wire.JobsRequest()), wire.JobsReply)
-        return list(reply.campaigns)
+        return list(self._call(wire.JobsRequest(), wire.JobsReply).campaigns)
 
     def status(self) -> wire.StatusReply:
-        return self._one(self._rpc(wire.StatusRequest()), wire.StatusReply)
+        return self._call(wire.StatusRequest(), wire.StatusReply)
 
     def fetch(self, campaign_key: str) -> List[Tuple[Dict[str, Any], bool, int]]:
         """All merged cells of a complete campaign, in cell order."""
-        replies = self._rpc(
-            wire.FetchRequest(campaign=campaign_key), stream_until=wire.FetchDone
-        )
-        if isinstance(replies[-1], wire.ErrorReply):
-            raise wire.ProtocolError(replies[-1].reason)
-        cells: List[Tuple[int, Dict[str, Any], bool, int]] = []
-        for reply in replies[:-1]:
-            if not isinstance(reply, wire.FetchCell):
-                raise wire.ProtocolError(f"unexpected {reply.TYPE} in fetch stream")
-            cells.append((reply.pos, reply.doc, reply.cached, reply.wall_ns))
-        done = replies[-1]
-        assert isinstance(done, wire.FetchDone)
-        if len(cells) != done.cells:
+        done = self._call(wire.FetchRequest(campaign=campaign_key), wire.FetchDone)
+        if not len(done.results) == len(done.cached) == len(done.wall_ns):
             raise wire.ProtocolError(
-                f"fetch stream torn: {len(cells)}/{done.cells} cells"
+                f"fetch columns disagree: {len(done.results)} results, "
+                f"{len(done.cached)} cached, {len(done.wall_ns)} wall_ns"
             )
-        cells.sort(key=lambda row: row[0])
-        return [(doc, cached, wall) for _, doc, cached, wall in cells]
+        return list(zip(done.results, done.cached, done.wall_ns))
 
     def wait(
         self, campaign_key: str, timeout_s: Optional[float] = None
@@ -187,7 +166,7 @@ class ServiceClient:
             if deadline is not None:
                 wait_s = min(wait_s, max(0.0, deadline - time.monotonic()))
             request = wire.JobsRequest(wait_for=campaign_key, wait_s=wait_s)
-            reply = self._one(self._rpc(request), wire.JobsReply)
+            reply = self._call(request, wire.JobsReply)
             for row in reply.campaigns:
                 if row["key"] == campaign_key and row["shards_done"] == row["shards"]:
                     return row

@@ -14,19 +14,22 @@ One coordinator process owns a campaign *root* (the same layout
   coordinator's monotonic clock), the one lease table both use; a
   restarted coordinator drops every lease of the campaigns it loads,
   and a shard a file-queue worker committed is never granted;
-* streamed ``cell_result`` messages are buffered per shard **and
-  journaled** (``<root>/coordinator.journal``, one ``O_APPEND`` NDJSON
-  line per cell) so a coordinator crash mid-stream loses nothing a
-  restart can't reassemble;
-* ``shard_done`` commits the shard through the existing atomic
-  :meth:`~repro.runtime.shard.CampaignStore.write_manifest`, and the
-  last manifest triggers the streaming merge
+* ``shard_done`` carries a finished shard's manifest columns; the
+  coordinator checks them against the shard, spot-checks them when
+  asked to, and commits them as ``work()`` does, through the atomic
+  :meth:`~repro.runtime.shard.CampaignStore.write_manifest`; the last
+  manifest triggers the streaming merge
   (:func:`~repro.runtime.shard.write_merged_results` /
   :func:`~repro.runtime.shard.write_merged_scorecard`) — so the merged
   artifact is byte-identical to an uninterrupted serial run no matter
   how many workers, reconnects, or restarts happened in between.
 
-Correctness never depends on the lease bookkeeping: cells are
+The manifest is the only durable shard state.  A ``shard_done`` lost
+with a dying coordinator is re-sent by the worker holding it, and a
+shard whose worker died too is re-leased and re-run with the same
+bytes.  The journal (``<root>/coordinator.journal``) holds only the
+spot-check's quarantine verdicts, so a restart keeps a barred worker
+barred.  Correctness never depends on the lease bookkeeping: cells are
 deterministic, so a lease lost to a network partition or TTL expiry
 costs at most a redundant execution that writes the same bytes.
 
@@ -48,7 +51,7 @@ import pathlib
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set
 
 from repro.io.canonical import canonical_json, doc_digest
 from repro.runtime.shard import (
@@ -88,16 +91,12 @@ def _provenance_doc(state: "_CampaignState") -> Dict[str, Any]:
 
 @dataclass
 class _CampaignState:
-    """One registered campaign: durable store (leases included) + buffers."""
+    """One registered campaign: its durable store (leases included)."""
 
     campaign: ShardedCampaign
     cdir: pathlib.Path
     store: CampaignStore
     done: Set[str] = field(default_factory=set)
-    #: shard_id -> {campaign cell position -> (doc, cached, wall_ns)}.
-    buffers: Dict[str, Dict[int, Tuple[Dict[str, Any], bool, int]]] = field(
-        default_factory=dict
-    )
     #: Shard submissions rejected by the verification spot-check.
     quarantined: int = 0
     #: Lazily-created coordinator-side TelemetryWriter (verify counters).
@@ -119,7 +118,7 @@ class Coordinator:
 
     Message handling is synchronous inside the event loop, so per-message
     state transitions are atomic without locks; the durable transitions
-    (journal append, manifest write, merge) are the same atomic-IO
+    (manifest write, merge, quarantine verdict) are the same atomic-IO
     primitives the file queue uses.
     """
 
@@ -147,11 +146,12 @@ class Coordinator:
         self.verify_fraction = verify_fraction
         self.verify_seed = verify_seed
         #: Workers that failed a spot-check; they are never granted work
-        #: again and their streamed frames are dropped.
+        #: again and their shards are refused.
         self.quarantined_owners: Set[str] = set()
         self.campaigns: Dict[str, _CampaignState] = {}
         self._server: Optional[asyncio.AbstractServer] = None
-        self.recovered_shards = 0
+        #: The open connections, hung up on by :meth:`stop`.
+        self._peers: Set[asyncio.StreamWriter] = set()
         #: Bumped whenever a parked request may have a new answer: a
         #: campaign registered, a shard committed or back in the pool.
         self._changes = 0
@@ -162,84 +162,42 @@ class Coordinator:
         self._wake: Optional[asyncio.Future] = None
 
     # ------------------------------------------------------------------
-    # Durability: journal + recovery
+    # Durability: manifests + the quarantine journal
     # ------------------------------------------------------------------
     @property
     def journal_path(self) -> pathlib.Path:
         return self.root / JOURNAL_NAME
 
-    def _journal(self, event: Dict[str, Any]) -> None:
-        append_line(self.journal_path, canonical_json(event))
-
     def recover(self) -> None:
-        """Rebuild state from the root: manifests first, then the journal.
+        """Rebuild state from the root: manifests, then quarantine verdicts.
 
-        Shard manifests are the durable truth; the journal only
-        re-seeds the in-memory cell buffers of shards that were still
-        streaming when the coordinator died.  A shard whose every cell
-        made it into the journal is committed to its manifest right
-        here (owner ``"recovered"`` — owners never enter merged
-        artifacts), so a crash between the last ``cell_result`` and the
-        manifest write costs nothing.  Every lease of a loaded campaign
-        is dropped: a restarted coordinator holds none.
+        Shard manifests are the durable truth: a shard is done exactly
+        when it has one.  The journal only re-bars the owners the
+        spot-check convicted (a torn final line is skipped).  Every
+        lease of a loaded campaign is dropped: a restarted coordinator
+        holds none.
         """
         for cdir in iter_campaign_dirs(self.root):
             state = self._register(CampaignStore(cdir).load(), cdir)
             for shard in state.campaign.shards:
                 state.store.drop_lease(shard.shard_id)
         try:
-            fh = open(self.journal_path, "r", encoding="utf-8")
+            lines = self.journal_path.read_text(encoding="utf-8").splitlines()
         except OSError:
-            fh = None
-        if fh is not None:
-            with fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        event = json.loads(line)
-                    except ValueError:
-                        continue  # torn final line of a killed coordinator
-                    ev = event.get("ev")
-                    if ev == "quarantine":
-                        owner = str(event.get("owner", ""))
-                        if owner:
-                            self.quarantined_owners.add(owner)
-                        qstate = self.campaigns.get(event.get("c", ""))
-                        if qstate is not None:
-                            qstate.quarantined += 1
-                            # The rejected cells were journaled before
-                            # the verdict; drop them so recovery can't
-                            # commit a shard verification refused.
-                            qstate.buffers.pop(str(event.get("s", "")), None)
-                        continue
-                    if ev != "cell":
-                        continue
-                    state = self.campaigns.get(event.get("c", ""))
-                    if state is None:
-                        continue
-                    shard_id = str(event.get("s", ""))
-                    if shard_id in state.done:
-                        continue
-                    try:
-                        pos = int(event["p"])
-                        doc = event["doc"]
-                    except (KeyError, TypeError, ValueError):
-                        continue
-                    state.buffers.setdefault(shard_id, {})[pos] = (
-                        doc,
-                        bool(event.get("cached", False)),
-                        int(event.get("w", 0)),
-                    )
+            lines = []
+        for line in lines:
+            try:
+                event = json.loads(line)
+            except ValueError:
+                continue  # torn final line of a killed coordinator
+            if not isinstance(event, dict) or event.get("ev") != "quarantine":
+                continue
+            if event.get("owner"):
+                self.quarantined_owners.add(str(event["owner"]))
+            state = self.campaigns.get(event.get("c", ""))
+            if state is not None:
+                state.quarantined += 1
         for state in self.campaigns.values():
-            for shard in state.campaign.shards:
-                if shard.shard_id in state.done:
-                    continue
-                buf = state.buffers.get(shard.shard_id, {})
-                if all(p in buf for p in range(shard.start, shard.stop)):
-                    self._commit_shard(state, shard, "recovered", 0)
-                    self.recovered_shards += 1
             if state.complete:
                 self._merge(state)
 
@@ -252,26 +210,14 @@ class Coordinator:
         self._changes += 1
         return state
 
-    def _commit_shard(
-        self, state: _CampaignState, shard: ShardSpec, owner: str, shard_wall_ns: int
-    ) -> None:
-        buf = state.buffers.get(shard.shard_id, {})
-        rows = [buf[p] for p in range(shard.start, shard.stop)]
-        state.store.write_manifest(
-            state.campaign,
-            shard,
-            [r[0] for r in rows],
-            [r[1] for r in rows],
-            [r[2] for r in rows],
-            owner,
-            shard_wall_ns,
-        )
-        self._journal({"ev": "shard", "c": state.campaign.campaign_key,
-                       "s": shard.shard_id})
-        state.done.add(shard.shard_id)
-        state.buffers.pop(shard.shard_id, None)
-        state.store.drop_lease(shard.shard_id)
+    def _settle(self, state: _CampaignState, shard_id: str) -> None:
+        """Count a shard whose manifest landed as done, dropping its lease
+        whoever holds it; the last one merges the campaign."""
+        state.store.drop_lease(shard_id)
+        state.done.add(shard_id)
         self._changes += 1
+        if state.complete:
+            self._merge(state)
 
     def _merge(self, state: _CampaignState) -> pathlib.Path:
         if state.campaign.kind == "faults":
@@ -293,17 +239,18 @@ class Coordinator:
             )
         return state.telemetry
 
-    def _spot_check(self, state: _CampaignState, shard: ShardSpec) -> List[int]:
-        """Re-execute a seeded sample of a buffered shard's cells.
+    def _spot_check(
+        self, state: _CampaignState, shard: ShardSpec, results: List[Dict[str, Any]]
+    ) -> List[int]:
+        """Re-execute a seeded sample of a delivered shard's cells.
 
-        Returns the campaign positions whose streamed result document
+        Returns the campaign positions whose delivered result document
         does not digest to what a fresh execution produces.  The sample
         is deterministic per (seed, shard), so a re-submitted shard is
         checked at the same positions — a dishonest worker cannot win by
         resubmitting until the sample misses its corruption.
         """
-        buf = state.buffers.get(shard.shard_id, {})
-        n = shard.stop - shard.start
+        n = shard.cells
         if self.verify_fraction >= 1.0:
             k = n
         else:
@@ -317,7 +264,7 @@ class Coordinator:
             expected = doc_digest(
                 kind.result_to_dict(kind.execute(state.campaign.cells[pos]))
             )
-            ok = doc_digest(buf[pos][0]) == expected
+            ok = doc_digest(results[pos - shard.start]) == expected
             writer.cell_verified(ok)
             if not ok:
                 divergent.append(pos)
@@ -331,16 +278,15 @@ class Coordinator:
     ) -> wire.Message:
         """Reject a shard that failed verification and bar its worker.
 
-        The buffered results and the shard's lease are dropped, so the
-        shard goes back into the grantable pool for honest workers; the
-        quarantine is journaled so a coordinator restart keeps the
-        worker barred.
+        Nothing is written for the shard and its lease is dropped, so it
+        goes back into the grantable pool for honest workers; the
+        verdict is journaled so a coordinator restart keeps the worker
+        barred.
         """
-        self._journal({
+        append_line(self.journal_path, canonical_json({
             "ev": "quarantine", "c": state.campaign.campaign_key,
             "s": shard.shard_id, "owner": owner, "p": bad,
-        })
-        state.buffers.pop(shard.shard_id, None)
+        }))
         state.store.drop_lease(shard.shard_id)
         self._changes += 1
         if owner:
@@ -359,7 +305,7 @@ class Coordinator:
     # Message handlers (one per request type)
     # ------------------------------------------------------------------
     def handle(self, msg: wire.Message) -> List[wire.Message]:
-        """Map one request to its reply (or reply stream, for fetch)."""
+        """Map one request to its one reply (a one-element list)."""
         if isinstance(msg, wire.Hello):
             if msg.format != wire.PROTOCOL_FORMAT or msg.version != wire.PROTOCOL_VERSION:
                 return [wire.ErrorReply(
@@ -371,8 +317,6 @@ class Coordinator:
             return [self._on_submit(msg)]
         if isinstance(msg, wire.LeaseRequest):
             return [self._on_lease(msg)]
-        if isinstance(msg, wire.CellResult):
-            return [self._on_cell(msg)]
         if isinstance(msg, wire.ShardDone):
             return [self._on_shard_done(msg)]
         if isinstance(msg, wire.Heartbeat):
@@ -384,7 +328,7 @@ class Coordinator:
         if isinstance(msg, wire.StatusRequest):
             return [self._on_status()]
         if isinstance(msg, wire.FetchRequest):
-            return self._on_fetch(msg)
+            return [self._on_fetch(msg)]
         return [wire.ErrorReply(reason=f"unexpected message type {msg.TYPE!r}")]
 
     def _on_submit(self, msg: wire.Submit) -> wire.Message:
@@ -395,8 +339,6 @@ class Coordinator:
         created = campaign.campaign_key not in self.campaigns
         if created:
             state = self._register(campaign, prepare_campaign(self.root, campaign))
-            self._journal({"ev": "campaign", "key": campaign.campaign_key,
-                           "dir": state.cdir.name})
             if state.complete:
                 self._merge(state)
         state = self.campaigns[campaign.campaign_key]
@@ -456,75 +398,47 @@ class Coordinator:
             return False
         if not state.store.shard_done(shard):
             return True
-        state.store.drop_lease(sid)
-        state.done.add(sid)
-        state.buffers.pop(sid, None)
-        self._changes += 1
-        if state.complete:
-            self._merge(state)
+        self._settle(state, sid)
         return False
 
-    def _on_cell(self, msg: wire.CellResult) -> wire.Message:
+    def _on_shard_done(self, msg: wire.ShardDone) -> wire.Message:
+        """Commit a delivered shard as ``work()`` does: one manifest.
+
+        The frame must name a known shard and carry one column entry per
+        cell.  A shard already done is acknowledged (a re-sent or late
+        duplicate); a barred owner is refused; with a ``verify_fraction``
+        every delivered shard is spot-checked, whoever its owner.
+        """
         state = self.campaigns.get(msg.campaign)
         if state is None:
             return wire.ErrorReply(reason=f"unknown campaign {msg.campaign[:12]}")
-        if msg.owner and msg.owner in self.quarantined_owners:
-            # Acknowledge but drop: a quarantined worker's frames must
-            # never reach the journal or buffers, and an error reply
-            # would just crash its stream loop mid-shard.
-            return wire.CellOk()
-        if msg.shard in state.done:
-            return wire.CellOk()  # duplicate delivery after a re-grant
         shard = state.shard_by_id(msg.shard)
         if shard is None:
             return wire.ErrorReply(reason=f"unknown shard {msg.shard[:12]}")
-        if not shard.start <= msg.pos < shard.stop:
-            return wire.ErrorReply(
-                reason=f"cell {msg.pos} outside shard slice "
-                       f"[{shard.start}, {shard.stop})"
-            )
-        self._journal({
-            "ev": "cell", "c": msg.campaign, "s": msg.shard, "p": msg.pos,
-            "doc": msg.doc, "cached": msg.cached, "w": msg.wall_ns,
-        })
-        state.buffers.setdefault(msg.shard, {})[msg.pos] = (
-            dict(msg.doc), msg.cached, msg.wall_ns,
-        )
-        return wire.CellOk()
-
-    def _on_shard_done(self, msg: wire.ShardDone) -> wire.Message:
-        state = self.campaigns.get(msg.campaign)
-        if state is None:
-            return wire.ErrorReply(reason=f"unknown campaign {msg.campaign[:12]}")
+        for name in ("results", "cached", "wall_ns"):
+            got = len(getattr(msg, name))
+            if got != shard.cells:
+                return wire.ErrorReply(
+                    reason=f"shard {msg.shard[:12]} has {shard.cells} cell(s), "
+                           f"but its {name} column has {got}"
+                )
         if msg.shard in state.done:
             return wire.ShardOk(accepted=True)
-        shard = state.shard_by_id(msg.shard)
-        if shard is None:
-            return wire.ErrorReply(reason=f"unknown shard {msg.shard[:12]}")
         if msg.owner and msg.owner in self.quarantined_owners:
             return wire.ShardOk(
                 accepted=False,
                 quarantined=True,
                 reason=f"owner {msg.owner!r} is quarantined",
             )
-        buf = state.buffers.get(msg.shard, {})
-        missing = [p for p in range(shard.start, shard.stop) if p not in buf]
-        if missing:
-            # A restarted coordinator may have lost nothing (journal) or
-            # everything before the journal existed; either way the
-            # worker just re-streams the listed cells and retries.
-            return wire.ShardOk(
-                accepted=False,
-                reason=f"missing {len(missing)} cell(s): "
-                       f"{missing[:8]}{'...' if len(missing) > 8 else ''}",
-            )
-        if self.verify_fraction > 0.0 and msg.owner not in ("", "recovered"):
-            bad = self._spot_check(state, shard)
+        if self.verify_fraction > 0.0:
+            bad = self._spot_check(state, shard, msg.results)
             if bad:
                 return self._quarantine(state, shard, msg.owner, bad)
-        self._commit_shard(state, shard, msg.owner, msg.shard_wall_ns)
-        if state.complete:
-            self._merge(state)
+        state.store.write_manifest(
+            state.campaign, shard, msg.results, msg.cached, msg.wall_ns,
+            msg.owner, msg.shard_wall_ns,
+        )
+        self._settle(state, shard.shard_id)
         return wire.ShardOk(accepted=True)
 
     def _on_heartbeat(self, msg: wire.Heartbeat) -> wire.Message:
@@ -580,29 +494,25 @@ class Coordinator:
             blocks.append(render_status(state.cdir))
         return wire.StatusReply(aggregate=agg.aggregate(), text="\n".join(blocks))
 
-    def _on_fetch(self, msg: wire.FetchRequest) -> List[wire.Message]:
+    def _on_fetch(self, msg: wire.FetchRequest) -> wire.Message:
         state = self.campaigns.get(msg.campaign)
         if state is None:
-            return [wire.ErrorReply(reason=f"unknown campaign {msg.campaign[:12]}")]
+            return wire.ErrorReply(reason=f"unknown campaign {msg.campaign[:12]}")
         if not state.complete:
-            return [wire.ErrorReply(
+            return wire.ErrorReply(
                 reason=f"campaign incomplete: "
                        f"{len(state.done)}/{len(state.campaign.shards)} shards"
-            )]
+            )
         try:
-            out: List[wire.Message] = [
-                wire.FetchCell(pos=pos, doc=doc, cached=cached, wall_ns=wall_ns)
-                for pos, (doc, cached, wall_ns) in enumerate(
-                    iter_result_rows(state.store, state.campaign)
-                )
-            ]
+            rows = list(iter_result_rows(state.store, state.campaign))
         except IncompleteCampaignError as exc:
-            return [wire.ErrorReply(reason=f"shard manifest vanished: {exc}")]
-        out.append(wire.FetchDone(
-            cells=len(state.campaign.cells),
+            return wire.ErrorReply(reason=f"shard manifest vanished: {exc}")
+        return wire.FetchDone(
+            results=[doc for doc, _cached, _wall in rows],
+            cached=[cached for _doc, cached, _wall in rows],
+            wall_ns=[wall for _doc, _cached, wall in rows],
             manifest=_provenance_doc(state),
-        ))
-        return out
+        )
 
     # ------------------------------------------------------------------
     # asyncio server
@@ -670,6 +580,7 @@ class Coordinator:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         decoder = wire.LineDecoder()
+        self._peers.add(writer)
         # The next read is always outstanding while a chunk's requests
         # are answered, so a parked request sees its peer hang up.
         read = asyncio.ensure_future(reader.read(65536))
@@ -695,6 +606,7 @@ class Coordinator:
         except ConnectionError:
             pass  # a worker died; its lease will expire
         finally:
+            self._peers.discard(writer)
             read.cancel()
             try:
                 writer.close()
@@ -723,10 +635,14 @@ class Coordinator:
             await self._server.serve_forever()
 
     async def stop(self) -> None:
+        """Stop serving and hang up on every peer: each client loop then
+        ends as if its peer had left (``serve_forever`` is cancelled)."""
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
+        for writer in list(self._peers):
+            writer.close()
 
 
 async def _serve_async(
@@ -752,8 +668,7 @@ async def _serve_async(
     )
     log(f"repro-serve v{wire.PROTOCOL_VERSION} coordinator on "
         f"{coordinator.host}:{bound}  root={root}  "
-        f"campaigns={known}  recovered_shards={coordinator.recovered_shards}"
-        f"{verify}")
+        f"campaigns={known}{verify}")
     await coordinator.serve_forever()
 
 

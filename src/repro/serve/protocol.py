@@ -1,4 +1,4 @@
-"""``repro-serve`` v1: the coordinator/worker wire protocol.
+"""``repro-serve`` v2: the coordinator/worker wire protocol.
 
 Framing is line-delimited canonical JSON: every message is one JSON
 object (sorted keys, compact separators) terminated by ``"\\n"``.  The
@@ -10,9 +10,10 @@ and yields only complete messages.
 Versioning and forward compatibility follow the repo's artifact rules:
 
 * the ``hello`` handshake carries ``format``/``version`` and each side
-  rejects a peer speaking a different major version;
-* **unknown fields are ignored** on decode (a v1.x peer may add fields
-  without breaking v1 receivers) — pinned by the property tests;
+  rejects a peer speaking a different major version (v2 refuses v1,
+  whose workers streamed one ``cell_result`` frame per cell);
+* **unknown fields are ignored** on decode (a v2.x peer may add fields
+  without breaking v2 receivers) — pinned by the property tests;
 * an unknown ``type``, a field of the wrong JSON type or a missing
   required field raises :class:`ProtocolError` naming the field (torn
   frames must fail loudly, not read as zeroed messages); the
@@ -24,16 +25,17 @@ every document (docs/architecture.md, "Documents"); the ``type`` tag is
 added here.
 
 The conversation is strict request/reply over one TCP connection: every
-request message has exactly one reply message, except ``fetch`` whose
-reply is a stream of ``fetch_cell`` messages closed by ``fetch_done``
-(documented here because it is the single exception).  Requests are
-idempotent — cells are deterministic, campaign registration is
-content-addressed, and shard completion is recorded atomically — so a
-client may blindly re-send after a reconnect.
+request message has exactly one reply message.  A finished shard
+travels in one ``shard_done`` frame and a finished campaign in one
+``fetch_done`` frame, each carrying the shard manifest's per-cell
+columns (``results``, ``cached``, ``wall_ns``, in cell order).
+Requests are idempotent — cells are deterministic, campaign
+registration is content-addressed, and a shard commits as one atomic
+manifest — so a client may blindly re-send after a reconnect.
 
 A reply may be *deferred*: a request that asks to wait is parked by the
 coordinator until it has something new to say, and still gets exactly
-one reply.  Two requests carry the optional fields for it; their v1
+one reply.  Two requests carry the optional fields for it; their
 defaults ask for an immediate answer, so a frame without them is
 answered at once:
 
@@ -75,8 +77,6 @@ __all__ = [
     "LeaseRequest",
     "LeaseGrant",
     "NoWork",
-    "CellResult",
-    "CellOk",
     "ShardDone",
     "ShardOk",
     "Heartbeat",
@@ -88,7 +88,6 @@ __all__ = [
     "StatusRequest",
     "StatusReply",
     "FetchRequest",
-    "FetchCell",
     "FetchDone",
     "encode_message",
     "decode_message",
@@ -98,7 +97,7 @@ __all__ = [
 ]
 
 PROTOCOL_FORMAT = "repro-serve"
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: The longest the coordinator defers a reply (seconds); below the 30 s
 #: socket timeouts of the worker and client connections.
@@ -180,7 +179,7 @@ class SubmitOk(Message):
 
 
 # ----------------------------------------------------------------------
-# Work loop: lease -> cell results -> shard done, heartbeats throughout
+# Work loop: lease -> shard done, heartbeats throughout
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class LeaseRequest(Message):
@@ -237,47 +236,32 @@ class NoWork(Message):
 
 
 @dataclass(frozen=True)
-class CellResult(Message):
-    """One executed (or cache-served) cell, streamed as it finishes.
-
-    ``owner`` names the streaming worker so the coordinator can drop
-    frames from quarantined workers without failing their connection.
-    """
-
-    TYPE = "cell_result"
-    campaign: str = ""
-    shard: str = ""
-    #: Position in the campaign's cell list (not shard-relative).
-    pos: int = 0
-    doc: Dict[str, Any] = field(default_factory=dict)
-    cached: bool = False
-    wall_ns: int = 0
-    owner: str = ""
-
-
-@dataclass(frozen=True)
-class CellOk(Message):
-    TYPE = "cell_ok"
-
-
-@dataclass(frozen=True)
 class ShardDone(Message):
-    """Every cell of the shard has been streamed; commit the manifest."""
+    """A finished shard, to commit as its manifest.
+
+    ``results``, ``cached`` and ``wall_ns`` are the shard manifest's
+    per-cell columns, one entry per cell of the granted slice in cell
+    order; ``owner`` names the worker, so the coordinator can refuse a
+    quarantined one.
+    """
 
     TYPE = "shard_done"
     campaign: str = ""
     shard: str = ""
     owner: str = ""
+    results: List[Dict[str, Any]] = field(default_factory=list)
+    cached: List[bool] = field(default_factory=list)
+    wall_ns: List[int] = field(default_factory=list)
     shard_wall_ns: int = 0
 
 
 @dataclass(frozen=True)
 class ShardOk(Message):
-    """``accepted=False`` + ``reason`` when the coordinator is missing
-    cells (e.g. it restarted mid-stream); the worker re-streams them.
-    ``quarantined=True`` means the shard failed the coordinator's
-    verification spot-check — it was re-queued for another worker and
-    this worker must *not* retry it."""
+    """``accepted=True`` once the shard is committed, by this frame or an
+    earlier one.  ``quarantined=True`` means the shard failed the
+    coordinator's verification spot-check (or its owner is barred): it
+    was re-queued for another worker and this worker must *not* retry
+    it."""
 
     TYPE = "shard_ok"
     accepted: bool = True
@@ -367,9 +351,8 @@ class StatusReply(Message):
 class FetchRequest(Message):
     """Fetch a completed campaign's per-cell results.
 
-    The only streaming reply: ``fetch_cell`` per cell (campaign order),
-    closed by ``fetch_done``.  An ``error`` reply means the campaign is
-    unknown or incomplete.
+    Answered by one ``fetch_done``, or by an ``error`` reply when the
+    campaign is unknown or incomplete.
     """
 
     TYPE = "fetch"
@@ -377,27 +360,22 @@ class FetchRequest(Message):
 
 
 @dataclass(frozen=True)
-class FetchCell(Message):
-    TYPE = "fetch_cell"
-    pos: int = 0
-    doc: Dict[str, Any] = field(default_factory=dict)
-    cached: bool = False
-    wall_ns: int = 0
-
-
-@dataclass(frozen=True)
 class FetchDone(Message):
-    """Closes a fetch stream.  ``manifest`` carries the campaign's
+    """A completed campaign's per-cell columns, in campaign cell order
+    (the shard manifests' ``results``, ``cached`` and ``wall_ns``, shard
+    after shard).  ``manifest`` carries the campaign's
     ``repro-provenance`` document (empty dict when the merge predates
     provenance), so a fetching client receives the attestation alongside
     the results."""
 
     TYPE = "fetch_done"
-    cells: int = 0
+    results: List[Dict[str, Any]] = field(default_factory=list)
+    cached: List[bool] = field(default_factory=list)
+    wall_ns: List[int] = field(default_factory=list)
     manifest: Dict[str, Any] = field(default_factory=dict)
 
 
-#: type tag -> message class (the v1 vocabulary, frozen by the property
+#: type tag -> message class (the v2 vocabulary, frozen by the property
 #: tests: every entry must round-trip through encode/decode).
 MESSAGE_TYPES: Dict[str, Type[Message]] = {
     cls.TYPE: cls
@@ -405,12 +383,12 @@ MESSAGE_TYPES: Dict[str, Type[Message]] = {
         Hello, HelloOk, ErrorReply,
         Submit, SubmitOk,
         LeaseRequest, LeaseGrant, NoWork,
-        CellResult, CellOk, ShardDone, ShardOk,
+        ShardDone, ShardOk,
         Heartbeat, HeartbeatOk,
         Telemetry, TelemetryOk,
         JobsRequest, JobsReply,
         StatusRequest, StatusReply,
-        FetchRequest, FetchCell, FetchDone,
+        FetchRequest, FetchDone,
     )
 }
 

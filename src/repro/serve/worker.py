@@ -1,11 +1,11 @@
-"""The ``repro-serve`` worker: lease, execute, stream, heartbeat, retry.
+"""The ``repro-serve`` worker: lease, execute, deliver, heartbeat, retry.
 
-A worker is a thin synchronous client around the same cell executors the
-file queue uses (:func:`repro.runtime.shard.get_kind`): it asks the
-coordinator for a shard lease, reconstructs the granted cells from their
-wire documents, executes them (with the usual spec-keyed
-:class:`~repro.runtime.cache.ResultCache` for sweep cells), then streams
-one ``cell_result`` per cell followed by ``shard_done``.  A daemon
+A worker is a thin synchronous client around the file queue's shard
+body (:func:`repro.runtime.shard.run_shard`): it asks the coordinator
+for a shard lease, reconstructs the granted cells from their wire
+documents, executes them (with the usual spec-keyed
+:class:`~repro.runtime.cache.ResultCache` for sweep cells), then sends
+the shard's manifest columns in one ``shard_done`` frame.  A daemon
 thread heartbeats the active lease every ``ttl/3`` seconds.  A lease
 request asks the coordinator to hold its answer until a shard can be
 granted (or, for a ``once`` worker, the fabric is drained), so an idle
@@ -15,17 +15,13 @@ there is nothing to do.
 Failure handling is deliberately dumb because cells are deterministic:
 
 * **connection lost** (coordinator restart, network partition) — the
-  worker reconnects with exponential backoff plus jitter, re-executes
-  the shard it was holding if needed, and re-streams *everything*; the
-  coordinator's buffers are last-write-wins over identical bytes, so
-  duplicate delivery is harmless;
+  worker reconnects with exponential backoff plus jitter and sends the
+  same ``shard_done`` frame again; a shard commits as one manifest, so
+  a frame that did arrive is acknowledged as already done;
 * **lease lost** (heartbeat returns ``valid=False`` after a TTL expiry)
   — the worker finishes anyway; at ``shard_done`` the coordinator
-  either accepts the manifest or reports the shard already done, and
-  either way the merged artifact is unchanged;
-* **shard_done rejected** (coordinator restarted mid-stream and its
-  journal predates some cells) — the worker re-streams the full shard
-  and retries.
+  either commits the manifest or reports the shard already done, and
+  either way the merged artifact is unchanged.
 """
 
 from __future__ import annotations
@@ -35,10 +31,10 @@ import random
 import socket
 import threading
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Optional
 
 from repro.runtime.cache import ResultCache
-from repro.runtime.shard import get_kind
+from repro.runtime.shard import ShardColumns, get_kind, run_shard
 from repro.serve import protocol as wire
 
 __all__ = ["WorkerClient", "run_worker"]
@@ -81,7 +77,7 @@ class _Connection:
 
 
 class WorkerClient:
-    """Lease/execute/stream loop against one coordinator address."""
+    """Lease/execute/deliver loop against one coordinator address."""
 
     def __init__(
         self,
@@ -92,7 +88,6 @@ class WorkerClient:
         once: bool = False,
         backoff_base_s: float = 0.5,
         backoff_max_s: float = 30.0,
-        max_done_retries: int = 5,
         rng: Optional[random.Random] = None,
         log=print,
     ) -> None:
@@ -105,7 +100,6 @@ class WorkerClient:
         self.once = once
         self.backoff_base_s = backoff_base_s
         self.backoff_max_s = backoff_max_s
-        self.max_done_retries = max_done_retries
         self.rng = rng or random.Random()
         self.log = log
         self.shards_done = 0
@@ -145,35 +139,26 @@ class WorkerClient:
     # ------------------------------------------------------------------
     # Shard execution
     # ------------------------------------------------------------------
-    def _execute_grant(
-        self, grant: wire.LeaseGrant
-    ) -> List[Tuple[int, Dict[str, Any], bool, int]]:
-        """Run every granted cell; returns (pos, doc, cached, wall_ns) rows.
+    def _execute_grant(self, grant: wire.LeaseGrant) -> ShardColumns:
+        """Run every granted cell; returns the shard's manifest columns.
 
-        The grant is one task-set sharing scope; the per-cell loop is
-        the file queue's (:func:`repro.runtime.shard.get_kind`).
+        The grant is one task-set sharing scope, run by the file queue's
+        shard body (:func:`repro.runtime.shard.run_shard`).
         """
         kind = get_kind(grant.kind)
         cells = [kind.cell_from_dict(dict(doc)) for doc in grant.cells]
         keys = list(grant.cell_keys[: len(cells)])
         keys += [""] * (len(cells) - len(keys))
-        rows: List[Tuple[int, Dict[str, Any], bool, int]] = []
         writer = self._telemetry_writer(grant)
         try:
-            for result, was_cached, wall_ns in kind.run_cells(cells, keys, self.cache):
-                rows.append(
-                    (grant.start + len(rows), kind.result_to_dict(result), was_cached, wall_ns)
-                )
-                if was_cached:
-                    self.cache_hits += 1
-                else:
-                    self.cells_run += 1
-                if writer is not None:
-                    writer.cell_done(was_cached, events=result.events, wall_ns=wall_ns)
+            columns = run_shard(kind, cells, keys, self.cache, telemetry=writer)
         finally:
             if writer is not None:
                 writer.close()
-        return rows
+        hits = sum(columns.cached)
+        self.cache_hits += hits
+        self.cells_run += len(cells) - hits
+        return columns
 
     def _telemetry_writer(self, grant: wire.LeaseGrant):
         if not self.telemetry:
@@ -202,46 +187,29 @@ class WorkerClient:
         )
 
     def _stream_shard(
-        self,
-        grant: wire.LeaseGrant,
-        rows: List[Tuple[int, Dict[str, Any], bool, int]],
-        shard_wall_ns: int,
+        self, grant: wire.LeaseGrant, columns: ShardColumns, shard_wall_ns: int
     ) -> bool:
-        """Deliver every cell then commit; retries handle rejection.
+        """Send the finished shard in one ``shard_done`` frame.
 
-        Returns ``True`` when the shard was committed, ``False`` when
-        the coordinator quarantined it (terminal for this owner).
+        Returns ``True`` when the shard is committed, ``False`` when the
+        coordinator quarantined it (terminal for this owner).
         """
-        for attempt in range(self.max_done_retries):
-            conn = self._ensure_conn()
-            for pos, doc, cached, wall_ns in rows:
-                reply = conn.rpc(wire.CellResult(
-                    campaign=grant.campaign, shard=grant.shard, pos=pos,
-                    doc=doc, cached=cached, wall_ns=wall_ns,
-                    owner=self.owner,
-                ))
-                if isinstance(reply, wire.ErrorReply):
-                    raise wire.ProtocolError(reply.reason)
-            reply = conn.rpc(wire.ShardDone(
-                campaign=grant.campaign, shard=grant.shard,
-                owner=self.owner, shard_wall_ns=shard_wall_ns,
-            ))
-            if isinstance(reply, wire.ShardOk) and reply.accepted:
-                return True
-            if isinstance(reply, wire.ShardOk) and reply.quarantined:
-                # Terminal: the coordinator's spot-check rejected the
-                # shard and barred this owner.  Retrying can never
-                # succeed; the next lease request learns the verdict.
-                self.log(f"[{self.owner}] shard {grant.shard[:12]} "
-                         f"quarantined: {reply.reason}")
-                return False
-            if isinstance(reply, wire.ErrorReply):
-                raise wire.ProtocolError(reply.reason)
-            reason = getattr(reply, "reason", "")
-            self.log(f"[{self.owner}] shard_done rejected "
-                     f"(attempt {attempt + 1}): {reason}; re-streaming")
+        reply = self._ensure_conn().rpc(wire.ShardDone(
+            campaign=grant.campaign, shard=grant.shard, owner=self.owner,
+            results=columns.results, cached=columns.cached,
+            wall_ns=columns.wall_ns, shard_wall_ns=shard_wall_ns,
+        ))
+        if isinstance(reply, wire.ShardOk) and reply.accepted:
+            return True
+        if isinstance(reply, wire.ShardOk) and reply.quarantined:
+            # Terminal: the coordinator's spot-check rejected the shard
+            # and barred this owner.  Re-sending can never succeed; the
+            # next lease request learns the verdict.
+            self.log(f"[{self.owner}] shard {grant.shard[:12]} "
+                     f"quarantined: {reply.reason}")
+            return False
         raise wire.ProtocolError(
-            f"shard {grant.shard[:12]} rejected {self.max_done_retries} times"
+            getattr(reply, "reason", "") or f"unexpected reply {reply.TYPE!r}"
         )
 
     def _heartbeat_loop(self, grant: wire.LeaseGrant, stop: threading.Event) -> None:
@@ -273,16 +241,17 @@ class WorkerClient:
         beat.start()
         try:
             t0 = time.perf_counter_ns()
-            rows = self._execute_grant(grant)
+            columns = self._execute_grant(grant)
             shard_wall_ns = time.perf_counter_ns() - t0
         finally:
             stop.set()
         beat.join(timeout=5.0)
-        # Delivery happens outside the heartbeat so a reconnect during
-        # streaming never races the beat thread for the fresh socket.
+        # Delivery happens outside the heartbeat so a reconnect never
+        # races the beat thread for the fresh socket.  A restarted
+        # coordinator gets the same frame again.
         while True:
             try:
-                committed = self._stream_shard(grant, rows, shard_wall_ns)
+                committed = self._stream_shard(grant, columns, shard_wall_ns)
                 break
             except _ConnectionLost as exc:
                 self._drop_conn()
@@ -304,7 +273,7 @@ class WorkerClient:
                 attempt += 1
 
     def run(self) -> int:
-        """Lease/execute/stream until drained (``once``) or interrupted."""
+        """Lease/execute/deliver until drained (``once``) or interrupted."""
         self.log(f"[{self.owner}] worker connecting to {self.host}:{self.port}")
         while True:
             try:

@@ -1,6 +1,10 @@
-"""Shared fixtures: small canonical task sets and helper builders."""
+"""Shared fixtures: small canonical task sets, helper builders, and a
+live campaign-service coordinator."""
 
 from __future__ import annotations
+
+import asyncio
+import threading
 
 import pytest
 
@@ -91,3 +95,66 @@ def mixed_taskset() -> TaskSet:
         m=2,
     )
     return fixed_tolerances(ts, 6.0)
+
+
+class LiveCoordinator:
+    """A ``repro-serve`` coordinator on an ephemeral port, serving from its
+    own event loop in a background thread."""
+
+    def __init__(self, root, **coord_kwargs):
+        from repro.serve.coordinator import Coordinator
+
+        self.coord = Coordinator(root, **coord_kwargs)
+        self._loop = asyncio.new_event_loop()
+        self._ready = threading.Event()
+        self._thread = threading.Thread(target=self._run, daemon=True)
+
+    def _run(self):
+        loop = self._loop
+        asyncio.set_event_loop(loop)
+        loop.run_until_complete(self.coord.start())
+        self._ready.set()
+        try:
+            loop.run_until_complete(self.coord.serve_forever())
+        except asyncio.CancelledError:
+            pass  # Coordinator.stop() closed the server
+        # The client loops end on the hang-up, and run their ``finally``
+        # (closing the connection) first: wait for them before closing.
+        tasks = asyncio.all_tasks(loop)
+        if tasks:
+            loop.run_until_complete(asyncio.wait(tasks, timeout=10.0))
+        loop.close()
+
+    def start(self):
+        self._thread.start()
+        assert self._ready.wait(10.0), "coordinator did not start"
+        return self
+
+    @property
+    def addr(self):
+        return f"127.0.0.1:{self.coord.port}"
+
+    def stop(self):
+        """Stop the coordinator and wait for the thread to close the loop."""
+        if not self._thread.is_alive():
+            return
+        asyncio.run_coroutine_threadsafe(self.coord.stop(), self._loop).result(10.0)
+        self._thread.join(timeout=20.0)
+        assert not self._thread.is_alive(), "coordinator did not stop"
+
+
+@pytest.fixture
+def make_service(tmp_path):
+    """``make_service(name="serve", **coordinator_kwargs)`` starts a
+    :class:`LiveCoordinator` rooted at ``tmp_path / name``; every one
+    started is stopped after the test."""
+    services = []
+
+    def factory(name="serve", **coord_kwargs):
+        svc = LiveCoordinator(tmp_path / name, **coord_kwargs).start()
+        services.append(svc)
+        return svc
+
+    yield factory
+    for svc in services:
+        svc.stop()

@@ -123,7 +123,7 @@ def test_encode_never_deep_copies(monkeypatch):
         raise AssertionError("dataclasses.asdict called")
 
     monkeypatch.setattr(dataclasses, "asdict", refuse)
-    msg = wire.CellResult(doc={"x": 1})
+    msg = wire.ShardDone(results=[{"x": 1}], cached=[False], wall_ns=[3])
     assert wire.decode_message(wire.encode_message(msg)) == msg
     assert FaultPlan.from_dict(FaultPlan((MonitorOutage(0.1, 0.2),)).to_dict())
 

@@ -4,7 +4,7 @@ Fixed documents of every kind that crosses the wire or lands on disk and
 is decoded again — run specs (generated, inline, traced, soa, plain GEL,
 one per traffic source kind), a task set, a fault plan with all seven
 fault kinds, campaign cells and outcomes, run results, one frame of each
-of the 23 protocol messages, campaign documents with their shard ids, a
+of the 20 protocol messages, campaign documents with their shard ids, a
 scorecard and a provenance manifest — pinned by their canonical text (or
 its sha256 when long), the sha256 of their insertion-ordered
 ``json.dumps`` form (the pretty-printed campaign and shard files keep
@@ -236,11 +236,9 @@ MESSAGES = [
         meta={"fault_free": False}, ttl=5.0,
     ),
     wire.NoWork(active=2, drained=False, quarantined=True),
-    wire.CellResult(campaign="c" * 64, shard="s" * 64, pos=3,
-                    doc=run_result_to_dict(TRAFFIC_RESULT), cached=True,
-                    wall_ns=123456, owner="w1"),
-    wire.CellOk(),
     wire.ShardDone(campaign="c" * 64, shard="s" * 64, owner="w1",
+                   results=[run_result_to_dict(RESULT), run_result_to_dict(TRAFFIC_RESULT)],
+                   cached=[False, True], wall_ns=[864198, 123456],
                    shard_wall_ns=987654),
     wire.ShardOk(accepted=False, reason="missing 1 cell(s): [3]", quarantined=True),
     wire.Heartbeat(owner="w1", campaign="c" * 64, shard="s" * 64),
@@ -253,8 +251,8 @@ MESSAGES = [
     wire.StatusRequest(),
     wire.StatusReply(aggregate={"campaigns": 1, "cells": 3}, text="all done"),
     wire.FetchRequest(campaign="c" * 64),
-    wire.FetchCell(pos=1, doc=run_result_to_dict(RESULT), cached=True, wall_ns=77),
-    wire.FetchDone(cells=2, manifest=MANIFEST.to_dict()),
+    wire.FetchDone(results=[run_result_to_dict(RESULT), run_result_to_dict(TRAFFIC_RESULT)],
+                   cached=[True, False], wall_ns=[77, 88], manifest=MANIFEST.to_dict()),
 ]
 
 
@@ -345,7 +343,7 @@ def _decodes() -> Dict[str, Callable[[], str]]:
 
 def test_corpus_covers_every_message_type():
     assert {m.TYPE for m in MESSAGES} == set(wire.MESSAGE_TYPES)
-    assert len(MESSAGES) == 23
+    assert len(MESSAGES) == 20
 
 
 def test_golden_documents_match():

@@ -3,23 +3,32 @@
 File-queue owners drive :class:`~repro.runtime.shard.CampaignStore`
 directly, as ``work()`` does, and service workers drive a
 :class:`~repro.serve.coordinator.Coordinator` through ``handle()``.  Both
-share the campaign directory's lease files on one fake monotonic clock.
-A plain-dict model predicts every grant, heartbeat verdict and lease,
-and the rules check that:
+share the campaign directory's lease files on one fake monotonic clock,
+and both commit a shard as one manifest: a service worker in one
+``shard_done`` frame.  The coordinator spot-checks every delivered cell.
+A plain-dict model predicts every grant, heartbeat verdict, lease, commit
+and quarantine, and the rules check that:
 
 * the store's live owner of every shard is the model's (at most one);
 * a heartbeat is valid exactly when its owner holds a live lease;
 * a shard with a result manifest is never granted, whoever wrote it;
-* a coordinator restart leaves no lease;
+* a dishonest owner's frame is refused and writes nothing, a named
+  owner is barred (its re-sent frames refused too), and the shard stays
+  grantable; an anonymous one is spot-checked like any other;
+* a torn frame gets one error and changes nothing, and a duplicate
+  after the commit is acknowledged and leaves the manifest alone;
+* a coordinator restart leaves no lease and keeps every bar;
 * the merged artifact equals the file-queue reference.
 
-Owners grant, heartbeat, stream, commit and walk away in any order while
-the clock advances and the coordinator restarts.  Results are the
-file-queue reference's own documents, so no cell runs inside the model.
+Owners grant, heartbeat, commit and walk away in any order while the
+clock advances and the coordinator restarts.  Results are the
+file-queue reference's own documents, and the spot check's re-execution
+reads them too, so no cell runs inside the model.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import pathlib
 import shutil
 import tempfile
@@ -29,6 +38,8 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
+import repro.runtime.shard as shard_module
+from repro.io.results_json import run_result_from_dict
 from repro.runtime.shard import (
     CampaignStore,
     ShardedCampaign,
@@ -44,7 +55,10 @@ from repro.workload.generator import GeneratorParams, taskset_seeds
 from repro.workload.scenarios import SHORT
 
 TTL = 1.0
-SERVICE = ("s0", "s1")
+#: Service workers; ``m0`` and the anonymous ``""`` corrupt every shard
+#: they deliver.
+SERVICE = ("s0", "s1", "m0", "")
+DISHONEST = ("m0", "")
 FILE_QUEUE = ("f0",)
 
 _REFERENCE: Dict[str, Any] = {}
@@ -83,6 +97,14 @@ class LeaseTable(RuleBasedStateMachine):
         self.campaign: ShardedCampaign = ref["campaign"]
         self.docs: List[Dict[str, Any]] = ref["docs"]
         self.merged: bytes = ref["merged"]
+        # The spot check re-executes cells through the sweep kind's
+        # run_spec; here it reads the reference results instead.
+        results = {
+            cell: run_result_from_dict(doc)
+            for cell, doc in zip(self.campaign.cells, self.docs)
+        }
+        self._run_spec = shard_module.run_spec
+        shard_module.run_spec = lambda spec, tasksets=None: results[spec]
         self.key = self.campaign.campaign_key
         self.shards = self.campaign.shards
         self.root = pathlib.Path(tempfile.mkdtemp(prefix="lease-model-"))
@@ -94,15 +116,16 @@ class LeaseTable(RuleBasedStateMachine):
         self.leases: Dict[int, List[Any]] = {}  # shard -> [owner, last beat]
         self.committed: set = set()  # the coordinator's done shards
         self.on_disk: set = set()  # shards with a result manifest
-        self.streamed: Dict[int, set] = {}  # shard -> journaled positions
         self.holding: Dict[str, int] = {}  # owner -> shard it works on
+        self.barred: set = set()  # owners the spot check convicted
+        self.quarantines = 0  # shards the spot check refused
 
     # -- helpers -------------------------------------------------------
     def clock(self) -> float:
         return self.now
 
     def _start_coordinator(self) -> Coordinator:
-        coord = Coordinator(self.root, lease_ttl=TTL, mono=self.clock)
+        coord = Coordinator(self.root, lease_ttl=TTL, mono=self.clock, verify_fraction=1.0)
         coord.recover()
         return coord
 
@@ -115,15 +138,20 @@ class LeaseTable(RuleBasedStateMachine):
     def _sid(self, idx: int) -> str:
         return self.shards[idx].shard_id
 
-    def _complete(self, idx: int) -> bool:
-        shard = self.shards[idx]
-        return self.streamed.get(idx, set()) >= set(range(shard.start, shard.stop))
-
     def _commit(self, idx: int) -> None:
         self.committed.add(idx)
         self.on_disk.add(idx)
         self.leases.pop(idx, None)  # dropped, whoever holds it
-        self.streamed.pop(idx, None)
+
+    def _shard_done(self, idx: int, owner: str) -> wire.ShardDone:
+        shard = self.shards[idx]
+        docs = self.docs[shard.start : shard.stop]
+        if owner in DISHONEST:
+            docs = [dict(doc, miss_count=doc["miss_count"] + 1) for doc in docs]
+        return wire.ShardDone(
+            campaign=self.key, shard=shard.shard_id, owner=owner, results=docs,
+            cached=[False] * shard.cells, wall_ns=[0] * shard.cells,
+        )
 
     # -- rules ---------------------------------------------------------
     @rule(dt=st.sampled_from([0.25, 0.5, 1.25]))
@@ -135,6 +163,9 @@ class LeaseTable(RuleBasedStateMachine):
         if w in self.holding:
             return
         (reply,) = self.coord.handle(wire.LeaseRequest(owner=w))
+        if w in self.barred:
+            assert reply == wire.NoWork(active=0, drained=False, quarantined=True)
+            return
         expected = None
         for i in range(len(self.shards)):
             if i in self.committed or self._live(i) is not None:
@@ -147,7 +178,7 @@ class LeaseTable(RuleBasedStateMachine):
             expected = i
             break
         if expected is None:
-            assert isinstance(reply, wire.NoWork)
+            assert isinstance(reply, wire.NoWork) and not reply.quarantined
             assert reply.drained == (len(self.committed) == len(self.shards))
             return
         assert isinstance(reply, wire.LeaseGrant)
@@ -170,40 +201,50 @@ class LeaseTable(RuleBasedStateMachine):
         if valid:
             lease[1] = self.now  # type: ignore[index]
 
-    @rule(w=st.sampled_from(SERVICE), count=st.integers(1, 2))
-    def service_stream(self, w: str, count: int) -> None:
+    @rule(w=st.sampled_from(SERVICE))
+    def service_shard_done(self, w: str) -> None:
+        """Deliver the whole shard in one frame, lease or no lease.
+
+        A refused dishonest owner keeps its shard and may send it again.
+        """
         idx = self.holding.get(w)
         if idx is None:
             return
-        shard = self.shards[idx]
-        for pos in range(shard.start, min(shard.start + count, shard.stop)):
-            (ok,) = self.coord.handle(
-                wire.CellResult(
-                    campaign=self.key, shard=shard.shard_id, pos=pos,
-                    doc=self.docs[pos], cached=False, wall_ns=0, owner=w,
-                )
-            )
-            assert ok == wire.CellOk()
-            if idx not in self.committed:
-                self.streamed.setdefault(idx, set()).add(pos)
+        path = self.store.shard_path(self._sid(idx))
+        before = path.read_bytes() if idx in self.committed else None
+        (reply,) = self.coord.handle(self._shard_done(idx, w))
+        if idx in self.committed:
+            assert reply == wire.ShardOk(accepted=True)  # a late duplicate
+            assert path.read_bytes() == before
+        elif w in self.barred:
+            assert reply.quarantined and not reply.accepted
+            return
+        elif w in DISHONEST:
+            assert reply.quarantined and not reply.accepted
+            # Refused: nothing written, the lease dropped whoever holds
+            # it, a named owner barred; the shard goes back to the pool.
+            if w:
+                self.barred.add(w)
+            self.quarantines += 1
+            self.leases.pop(idx, None)
+            assert self.store.shard_done(self.shards[idx]) == (idx in self.on_disk)
+            return
+        else:
+            assert reply == wire.ShardOk(accepted=True)
+            self._commit(idx)
+        del self.holding[w]
 
     @rule(w=st.sampled_from(SERVICE))
-    def service_commit(self, w: str) -> None:
+    def service_torn_frame(self, w: str) -> None:
+        """A frame one result short: one error reply, and nothing moves."""
         idx = self.holding.get(w)
         if idx is None:
             return
-        (reply,) = self.coord.handle(
-            wire.ShardDone(campaign=self.key, shard=self._sid(idx), owner=w)
-        )
-        if idx in self.committed:
-            assert reply.accepted  # a late duplicate stays idempotent
-        elif self._complete(idx):
-            assert reply.accepted
-            self._commit(idx)
-        else:
-            assert not reply.accepted
-            return
-        del self.holding[w]
+        frame = self._shard_done(idx, w)
+        torn = dataclasses.replace(frame, results=frame.results[:-1])
+        (reply,) = self.coord.handle(torn)
+        assert isinstance(reply, wire.ErrorReply)
+        assert f"its results column has {len(torn.results)}" in reply.reason
 
     @rule(f=st.sampled_from(FILE_QUEUE), idx=st.integers(0, 2))
     def file_queue_acquire(self, f: str, idx: int) -> None:
@@ -251,10 +292,7 @@ class LeaseTable(RuleBasedStateMachine):
         self.coord = self._start_coordinator()
         self.leases.clear()
         self.committed = set(self.on_disk)
-        for idx in range(len(self.shards)):
-            if idx not in self.committed and self._complete(idx):
-                self._commit(idx)  # recovered from the journal
-        self.streamed = {i: p for i, p in self.streamed.items() if i not in self.committed}
+        assert self.coord.quarantined_owners == self.barred
         for idx in range(len(self.shards)):
             assert self.store.read_lease(self._sid(idx)) is None
 
@@ -272,6 +310,7 @@ class LeaseTable(RuleBasedStateMachine):
         (reply,) = self.coord.handle(wire.JobsRequest())
         (doc,) = reply.campaigns
         assert doc["shards_done"] == len(self.committed)
+        assert doc["quarantined"] == self.quarantines
         assert doc["leased"] == sum(
             1
             for i in range(len(self.shards))
@@ -293,22 +332,13 @@ class LeaseTable(RuleBasedStateMachine):
                 if isinstance(reply, wire.NoWork):
                     assert reply.drained
                     break
-                for pos in range(reply.start, reply.stop):
-                    self.coord.handle(
-                        wire.CellResult(
-                            campaign=self.key, shard=reply.shard, pos=pos,
-                            doc=self.docs[pos], cached=False, wall_ns=0,
-                            owner="drain",
-                        )
-                    )
-                (done,) = self.coord.handle(
-                    wire.ShardDone(campaign=self.key, shard=reply.shard, owner="drain")
-                )
+                (done,) = self.coord.handle(self._shard_done(reply.index, "drain"))
                 assert done.accepted
             state = self.coord.campaigns[self.key]
             assert state.complete
             assert state.store.merged_path.read_bytes() == self.merged
         finally:
+            shard_module.run_spec = self._run_spec
             shutil.rmtree(self.root, ignore_errors=True)
 
 

@@ -1,4 +1,4 @@
-"""Property tests: the ``repro-serve`` v1 wire protocol framing.
+"""Property tests: the ``repro-serve`` v2 wire protocol framing.
 
 Hypothesis pins the three framing invariants the fabric's durability
 story rests on:
@@ -10,8 +10,8 @@ story rests on:
 * unknown *fields* are ignored on decode (forward compatibility) while
   unknown *types* and non-object frames fail loudly;
 * the optional wait fields of ``lease`` and ``jobs`` round-trip, and a
-  frame without them (a v1 peer's) decodes to the defaults that ask for
-  an immediate answer.
+  frame without them decodes to the defaults that ask for an immediate
+  answer.
 """
 
 import dataclasses
@@ -48,7 +48,7 @@ json_values = st.recursive(
 
 
 def _field_strategy(f: dataclasses.Field):
-    """A value strategy matching the field's declared v1 type."""
+    """A value strategy matching the field's declared type."""
     ann = str(f.type)
     if "List[Dict" in ann:
         return st.lists(
@@ -57,6 +57,10 @@ def _field_strategy(f: dataclasses.Field):
         )
     if "List[str]" in ann:
         return st.lists(st.text(max_size=16), max_size=4)
+    if "List[bool]" in ann:
+        return st.lists(st.booleans(), max_size=4)
+    if "List[int]" in ann:
+        return st.lists(st.integers(min_value=0, max_value=2**53), max_size=4)
     if "Dict" in ann:
         return st.dictionaries(st.text(max_size=8), json_values, max_size=3)
     if "bool" in ann:
@@ -125,7 +129,7 @@ def test_unknown_fields_are_ignored(msg, extra):
     assert decoded == msg
 
 
-#: The fields a v1 peer sends; everything else is an optional wait field.
+#: The fields a peer sends without the wait fields; the rest are wait fields.
 V1_FIELDS = {LeaseRequest: {"owner"}, JobsRequest: set()}
 waiting_requests = st.one_of([_message_strategy(cls) for cls in V1_FIELDS])
 
@@ -165,7 +169,7 @@ def test_garbage_frames_fail_loudly(line):
 
 def test_blank_lines_are_skipped():
     decoder = LineDecoder()
-    frames = b'\n\n{"type":"cell_ok"}\n   \n{"type":"hello_ok"}\n'
+    frames = b'\n\n{"type":"telemetry_ok"}\n   \n{"type":"hello_ok"}\n'
     out = list(decoder.feed(frames))
-    assert [m.TYPE for m in out] == ["cell_ok", "hello_ok"]
+    assert [m.TYPE for m in out] == ["telemetry_ok", "hello_ok"]
     assert decoder.pending == 0

@@ -1,8 +1,9 @@
 """Coordinator ``--verify-fraction`` spot-checks against dishonest workers.
 
 A coordinator started with ``verify_fraction=1.0`` re-executes every
-streamed cell of each untrusted worker's shard before committing it.
-A worker that corrupts its ``cell_result`` frames is convicted:
+delivered cell of each shard, whoever its owner, before committing it.
+A worker that corrupts the results of its ``shard_done`` frame is
+convicted:
 
 * its shard is **quarantined** — re-queued, never committed;
 * the owner is barred: its next lease request returns
@@ -15,9 +16,8 @@ A worker that corrupts its ``cell_result`` frames is convicted:
   and the fetched provenance manifest matches the honest bytes.
 """
 
-import asyncio
+import dataclasses
 import json
-import threading
 
 import pytest
 
@@ -58,67 +58,16 @@ def grid():
     return small_grid()
 
 
-class _Service:
-    """A verifying coordinator on an ephemeral port, in its own loop."""
-
-    def __init__(self, root, **coord_kwargs):
-        self.coord = Coordinator(root, **coord_kwargs)
-        self._loop = asyncio.new_event_loop()
-        self._ready = threading.Event()
-        self._thread = threading.Thread(target=self._run, daemon=True)
-
-    def _run(self):
-        asyncio.set_event_loop(self._loop)
-        self._loop.run_until_complete(self.coord.start())
-        self._ready.set()
-        try:
-            self._loop.run_until_complete(self.coord.serve_forever())
-        except asyncio.CancelledError:
-            pass
-
-    def start(self):
-        self._thread.start()
-        assert self._ready.wait(10.0), "coordinator did not start"
-        return self
-
-    @property
-    def addr(self):
-        return f"127.0.0.1:{self.coord.port}"
-
-    def stop(self):
-        def cancel_all():
-            for task in asyncio.all_tasks(self._loop):
-                task.cancel()
-
-        self._loop.call_soon_threadsafe(cancel_all)
-        self._thread.join(timeout=10.0)
-        self._loop.close()
-
-
-@pytest.fixture
-def make_service(tmp_path):
-    services = []
-
-    def factory(name="serve", **coord_kwargs):
-        svc = _Service(tmp_path / name, **coord_kwargs).start()
-        services.append(svc)
-        return svc
-
-    yield factory
-    for svc in services:
-        svc.stop()
-
-
 class _DishonestWorker(WorkerClient):
     """Executes cells correctly, then lies about what they produced."""
 
     def _execute_grant(self, grant):
-        rows = super()._execute_grant(grant)
-        return [
-            (pos, dict(doc, miss_count=int(doc.get("miss_count", 0)) + 5),
-             cached, wall_ns)
-            for pos, doc, cached, wall_ns in rows
-        ]
+        columns = super()._execute_grant(grant)
+        return columns._replace(results=corrupt(columns.results))
+
+
+def corrupt(docs):
+    return [dict(doc, miss_count=int(doc.get("miss_count", 0)) + 5) for doc in docs]
 
 
 def quiet(*_):
@@ -160,11 +109,7 @@ class TestSpotCheck:
             assert row["merged"] and row["manifest"]
 
             # The fetched provenance manifest travels over the wire.
-            replies = client._rpc(
-                wire.FetchRequest(campaign=campaign.campaign_key),
-                stream_until=wire.FetchDone,
-            )
-            done = replies[-1]
+            done = client._rpc(wire.FetchRequest(campaign=campaign.campaign_key))
             assert isinstance(done, wire.FetchDone)
 
         merged = (svc.coord.root / row["dir"] / "merged.json").read_bytes()
@@ -223,17 +168,51 @@ class TestSpotCheck:
         assert ack.created
         (grant,) = coord.handle(wire.LeaseRequest(owner="w1"))
         docs = [run_result_to_dict(r) for r in SerialBackend().run(grid)]
-        for pos in range(grant.start, grant.stop):
-            coord.handle(wire.CellResult(
-                campaign=grant.campaign, shard=grant.shard, pos=pos,
-                doc=docs[pos], owner="w1",
-            ))
         state = coord.campaigns[grant.campaign]
         shard = next(s for s in state.campaign.shards
                      if s.shard_id == grant.shard)
-        sample = coord._spot_check(state, shard)
+        sample = coord._spot_check(state, shard, docs[shard.start:shard.stop])
         assert sample == []  # honest docs pass
         (ok,) = coord.handle(wire.ShardDone(
             campaign=grant.campaign, shard=grant.shard, owner="w1",
+            results=docs[shard.start:shard.stop], cached=[False] * shard.cells,
+            wall_ns=[0] * shard.cells,
         ))
         assert isinstance(ok, wire.ShardOk) and ok.accepted
+
+    def test_anonymous_corrupt_shard_refused(self, grid, tmp_path, make_service):
+        """The spot check covers every delivered shard: an empty owner is
+        verified like any other, its corrupt frame refused."""
+        ref_dir = prepare_campaign(
+            tmp_path / "ref", ShardedCampaign("sweep", grid, shard_size=2)
+        )
+        work(ref_dir)
+        reference = write_merged_results(ref_dir).read_bytes()
+        docs = [run_result_to_dict(r) for r in SerialBackend().run(grid)]
+
+        svc = make_service(verify_fraction=1.0)
+        campaign = ShardedCampaign("sweep", grid, shard_size=2)
+        with ServiceClient(svc.addr) as client:
+            client.submit(campaign.to_dict())
+            grant = client._rpc(wire.LeaseRequest(owner=""))
+            assert isinstance(grant, wire.LeaseGrant)
+            honest = wire.ShardDone(
+                campaign=grant.campaign, shard=grant.shard, owner="",
+                results=docs[grant.start:grant.stop], cached=[False, False],
+                wall_ns=[0, 0],
+            )
+            forged = dataclasses.replace(honest, results=corrupt(honest.results))
+            verdict = client._rpc(forged)
+            assert isinstance(verdict, wire.ShardOk)
+            assert verdict.quarantined and not verdict.accepted
+            (row,) = client.jobs()
+            assert row["shards_done"] == 0 and row["quarantined"] == 1
+
+            worker = WorkerClient(svc.addr, owner="honest", once=True, log=quiet)
+            try:
+                assert worker.run() == 0
+            finally:
+                worker._drop_conn()
+            row = client.wait(campaign.campaign_key, timeout_s=60)
+        merged = (svc.coord.root / row["dir"] / "merged.json").read_bytes()
+        assert merged == reference

@@ -197,9 +197,9 @@ class TestSharingScopes:
             cell_keys=list(campaign.cell_keys),
         )
         worker = WorkerClient("127.0.0.1:1", log=lambda *_: None)
-        rows = worker._execute_grant(grant)
-        assert [doc for _pos, doc, _c, _w in rows] == per_cell_docs
-        assert [pos for pos, *_ in rows] == list(range(len(specs)))
+        columns = worker._execute_grant(grant)
+        assert columns.results == per_cell_docs
+        assert len(columns.cached) == len(columns.wall_ns) == len(specs)
         assert materializations() == 2
         worker._execute_grant(grant)  # a new grant is a new scope
         assert materializations() == 4

@@ -1,4 +1,4 @@
-"""Unit tests: ``repro-serve`` v1 framing, addresses, and handshakes.
+"""Unit tests: ``repro-serve`` v2 framing, addresses, and handshakes.
 
 The hypothesis suite (``tests/property/test_serve_protocol_props.py``)
 sweeps the message space; these tests pin concrete frames and the edge
@@ -35,16 +35,16 @@ class TestFraming:
         assert line.strip() == json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
     def test_round_trip_with_nested_payload(self):
-        msg = wire.CellResult(
-            campaign="k" * 64, shard="s" * 64, pos=3,
-            doc={"scenario": "short", "nested": {"a": [1, 2.5, "x"]}},
-            cached=True, wall_ns=12345,
+        msg = wire.ShardDone(
+            campaign="k" * 64, shard="s" * 64, owner="w1",
+            results=[{"scenario": "short", "nested": {"a": [1, 2.5, "x"]}}, {}],
+            cached=[True, False], wall_ns=[12345, 6], shard_wall_ns=12351,
         )
         assert decode_message(encode_message(msg)[:-1].decode("utf-8")) == msg
 
     def test_unknown_fields_dropped(self):
-        decoded = decode_message('{"type": "cell_ok", "future_field": 1}')
-        assert decoded == wire.CellOk()
+        decoded = decode_message('{"type": "telemetry_ok", "future_field": 1}')
+        assert decoded == wire.TelemetryOk()
 
     def test_unknown_type_and_bad_json_raise(self):
         with pytest.raises(ProtocolError, match="unknown message type"):
@@ -67,17 +67,17 @@ class TestLineDecoder:
         assert decoder.pending == 0
 
     def test_two_frames_in_one_read(self):
-        data = encode_message(wire.CellOk()) + encode_message(wire.TelemetryOk())
+        data = encode_message(wire.HelloOk()) + encode_message(wire.TelemetryOk())
         out = list(LineDecoder().feed(data))
-        assert [m.TYPE for m in out] == ["cell_ok", "telemetry_ok"]
+        assert [m.TYPE for m in out] == ["hello_ok", "telemetry_ok"]
 
     def test_abandoned_generator_keeps_remaining_frames_buffered(self):
         # feed() is lazy: taking one message and dropping the iterator
         # must leave the rest intact for a later feed(b"") drain.
-        data = encode_message(wire.CellOk()) + encode_message(wire.HeartbeatOk())
+        data = encode_message(wire.TelemetryOk()) + encode_message(wire.HeartbeatOk())
         decoder = LineDecoder()
         first = next(decoder.feed(data))
-        assert first == wire.CellOk()
+        assert first == wire.TelemetryOk()
         rest = list(decoder.feed(b""))
         assert rest == [wire.HeartbeatOk()]
         assert decoder.pending == 0
@@ -128,3 +128,13 @@ class TestHandshake:
         assert "protocol mismatch" in err.reason
         (err,) = coord.handle(wire.Hello(role="client", format="other-proto"))
         assert isinstance(err, wire.ErrorReply)
+
+    def test_v1_peer_refused(self, tmp_path):
+        # A v1 worker would stream cell_result frames v2 no longer reads.
+        assert wire.PROTOCOL_VERSION == 2
+        coord = Coordinator(tmp_path)
+        v1 = decode_message('{"owner":"w","role":"worker","type":"hello",'
+                            '"format":"repro-serve","version":1}')
+        (err,) = coord.handle(v1)
+        assert isinstance(err, wire.ErrorReply)
+        assert "want repro-serve v2, got repro-serve v1" in err.reason

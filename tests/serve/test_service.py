@@ -6,25 +6,30 @@ Pins the service's durability contract against the file queue it wraps:
   the file queue's ``work()`` on the same campaign (sweep and faults);
 * a worker SIGKILLed mid-campaign loses nothing: a survivor steals the
   expired lease and the merged bytes still match;
-* a coordinator "crash" after cells streamed but before ``shard_done``
-  recovers the buffered shard from its journal on restart;
+* a coordinator restarted between a grant and its ``shard_done`` commits
+  the frame the worker re-sends, keeps quarantine verdicts, and leaves
+  an undelivered shard grantable;
 * lease/heartbeat semantics (grant exclusivity, expiry, wrong-owner
   rejection) under a controllable monotonic clock;
 * parked requests are answered on the event they wait for (a submit, a
   commit, a lease expiry), never granted to a peer that left, and a
   frame without the wait fields is answered at once;
-* duplicate/partial deliveries are idempotent or rejected with a reason;
+* a duplicate ``shard_done`` is acknowledged, and a frame whose columns
+  or ids do not match its shard gets one error naming the mismatch;
 * :func:`~repro.runtime.executor.make_executor` routes
   ``service_addr=`` to :class:`~repro.serve.client.ServiceBackend`,
   which matches :class:`~repro.runtime.executor.SerialBackend`;
 * worker telemetry relayed over the wire lands in the campaign
   directory exactly where file-based workers write it;
-* ``repro-mc2 status --service`` reports ``source: service``.
+* ``repro-mc2 status --service`` reports ``source: service``;
+* the live-coordinator harness stops without leaving a task pending.
 """
 
-import asyncio
 import contextlib
+import dataclasses
+import gc
 import json
+import logging
 import os
 import pathlib
 import signal
@@ -52,7 +57,7 @@ from repro.runtime.spec import MonitorSpec, RunSpec, ScenarioSpec, TaskSetSpec
 from repro.serve import protocol as wire
 from repro.serve.client import ServiceBackend, ServiceClient
 from repro.serve.coordinator import JOURNAL_NAME, Coordinator
-from repro.serve.worker import run_worker
+from repro.serve.worker import WorkerClient, run_worker
 from repro.workload.generator import GeneratorParams, taskset_seeds
 from repro.workload.scenarios import SHORT
 
@@ -86,57 +91,18 @@ def grid_docs(grid):
 
 
 # ----------------------------------------------------------------------
-# Harness: coordinator in a background asyncio thread + worker loops
+# Harness: worker loops against a live coordinator (``make_service``)
 # ----------------------------------------------------------------------
-class _Service:
-    """A live coordinator on an ephemeral port, in its own event loop."""
-
-    def __init__(self, root, lease_ttl=60.0, **kw):
-        self.coord = Coordinator(root, lease_ttl=lease_ttl, **kw)
-        self._loop = asyncio.new_event_loop()
-        self._ready = threading.Event()
-        self._thread = threading.Thread(target=self._run, daemon=True)
-
-    def _run(self):
-        asyncio.set_event_loop(self._loop)
-        self._loop.run_until_complete(self.coord.start())
-        self._ready.set()
-        try:
-            self._loop.run_until_complete(self.coord.serve_forever())
-        except asyncio.CancelledError:
-            pass
-
-    def start(self):
-        self._thread.start()
-        assert self._ready.wait(10.0), "coordinator did not start"
-        return self
-
-    @property
-    def addr(self):
-        return f"127.0.0.1:{self.coord.port}"
-
-    def stop(self):
-        def cancel_all():
-            for task in asyncio.all_tasks(self._loop):
-                task.cancel()
-
-        self._loop.call_soon_threadsafe(cancel_all)
-        self._thread.join(timeout=10.0)
-        self._loop.close()
-
-
-@pytest.fixture
-def make_service(tmp_path):
-    services = []
-
-    def factory(name="serve", lease_ttl=60.0, **kw):
-        svc = _Service(tmp_path / name, lease_ttl=lease_ttl, **kw).start()
-        services.append(svc)
-        return svc
-
-    yield factory
-    for svc in services:
-        svc.stop()
+def shard_done(grant, docs, owner="", **columns):
+    """The ``shard_done`` frame of *grant* with the reference documents
+    (uncached, zero wall time unless *columns* say otherwise)."""
+    n = grant.stop - grant.start
+    columns.setdefault("cached", [False] * n)
+    columns.setdefault("wall_ns", [0] * n)
+    return wire.ShardDone(
+        campaign=grant.campaign, shard=grant.shard, owner=owner,
+        results=docs[grant.start:grant.stop], **columns,
+    )
 
 
 def drain(addr, **kw):
@@ -284,85 +250,91 @@ class TestKillWorker:
 
 
 # ----------------------------------------------------------------------
-# Coordinator crash + restart: journal recovery (acceptance)
+# Coordinator crash + restart: manifests are the only shard state
 # ----------------------------------------------------------------------
 class TestCoordinatorRecovery:
-    def _submit_and_stream_cells(self, root, grid, grid_docs, shard_size):
-        """Drive a coordinator up to (but not including) shard_done."""
-        coord = Coordinator(root)
-        root.mkdir(parents=True, exist_ok=True)
-        coord.recover()
-        campaign = ShardedCampaign("sweep", grid, shard_size=shard_size)
-        (ack,) = coord.handle(wire.Submit(campaign=campaign.to_dict()))
-        assert isinstance(ack, wire.SubmitOk) and ack.created
-        (grant,) = coord.handle(wire.LeaseRequest(owner="w1"))
-        assert isinstance(grant, wire.LeaseGrant)
-        for pos in range(grant.start, grant.stop):
-            (ok,) = coord.handle(wire.CellResult(
-                campaign=grant.campaign, shard=grant.shard, pos=pos,
-                doc=grid_docs[pos], cached=False, wall_ns=0,
-            ))
-            assert ok == wire.CellOk()
-        return campaign, grant
-
-    def test_restart_commits_buffered_shard_from_journal(
-        self, grid, grid_docs, tmp_path
+    def test_restart_commits_the_redelivered_shard(
+        self, grid, tmp_path, make_service
     ):
         ref_dir = prepare_campaign(
-            tmp_path / "ref", ShardedCampaign("sweep", grid, shard_size=len(grid))
+            tmp_path / "ref", ShardedCampaign("sweep", grid, shard_size=2)
         )
         work(ref_dir)
         reference = write_merged_results(ref_dir).read_bytes()
 
-        root = tmp_path / "serve"
-        campaign, _ = self._submit_and_stream_cells(
-            root, grid, grid_docs, shard_size=len(grid)
-        )
-        # "Crash": the first coordinator object is simply dropped —
-        # nothing was committed, only journaled.
-        reborn = Coordinator(root)
-        reborn.recover()
-        assert reborn.recovered_shards == 1
-        state = reborn.campaigns[campaign.campaign_key]
+        svc = make_service()
+        campaign = ShardedCampaign("sweep", grid, shard_size=2)
+        with ServiceClient(svc.addr) as client:
+            client.submit(campaign.to_dict())
+        reborn = []
+
+        class Worker(WorkerClient):
+            def _execute_grant(self, grant):
+                columns = super()._execute_grant(grant)
+                if not reborn:
+                    # The coordinator dies between the grant and its
+                    # shard_done, and comes back on the same root and port.
+                    svc.stop()
+                    reborn.append(make_service(port=svc.coord.port))
+                return columns
+
+        worker = Worker(svc.addr, owner="w1", once=True, backoff_base_s=0.05,
+                        log=lambda *_: None)
+        try:
+            assert worker.run() == 0
+        finally:
+            worker._drop_conn()
+        assert worker.shards_done == 2
+        (svc2,) = reborn
+        state = svc2.coord.campaigns[campaign.campaign_key]
         assert state.complete
-        merged = (state.cdir / "merged.json").read_bytes()
-        assert merged == reference
+        assert state.store.merged_path.read_bytes() == reference
+        assert not svc2.coord.journal_path.exists()  # no quarantine, no journal
 
     def test_restart_tolerates_torn_journal_tail(self, grid, grid_docs, tmp_path):
         root = tmp_path / "serve"
-        campaign, _ = self._submit_and_stream_cells(
-            root, grid, grid_docs, shard_size=len(grid)
-        )
-        journal = root / JOURNAL_NAME
-        with open(journal, "a", encoding="utf-8") as fh:
-            fh.write('{"ev": "cell", "c": "torn mid-wri')  # no newline
+        coord = Coordinator(root, verify_fraction=1.0)
+        root.mkdir(parents=True, exist_ok=True)
+        coord.recover()
+        campaign = ShardedCampaign("sweep", grid, shard_size=2)
+        coord.handle(wire.Submit(campaign=campaign.to_dict()))
+        (grant,) = coord.handle(wire.LeaseRequest(owner="evil"))
+        bad = [dict(doc, miss_count=99) for doc in grid_docs]
+        (verdict,) = coord.handle(shard_done(grant, bad, owner="evil"))
+        assert verdict.quarantined and not verdict.accepted
+        with open(root / JOURNAL_NAME, "a", encoding="utf-8") as fh:
+            fh.write('{"ev": "quarantine", "c": "torn mid-wri')  # no newline
         reborn = Coordinator(root)
         reborn.recover()
-        assert reborn.recovered_shards == 1
-        assert reborn.campaigns[campaign.campaign_key].complete
+        assert reborn.quarantined_owners == {"evil"}
+        assert reborn.campaigns[campaign.campaign_key].quarantined == 1
+        (barred,) = reborn.handle(wire.LeaseRequest(owner="evil"))
+        assert isinstance(barred, wire.NoWork) and barred.quarantined
+        (regrant,) = reborn.handle(wire.LeaseRequest(owner="honest"))
+        assert regrant.shard == grant.shard
 
     def test_recovered_partial_shard_stays_leasable(
         self, grid, grid_docs, tmp_path
     ):
         root = tmp_path / "serve"
-        # Two shards; stream only the granted one's first cell.
+        # Two shards; the first is granted but never delivered.
         coord = Coordinator(root)
         root.mkdir(parents=True, exist_ok=True)
         coord.recover()
         campaign = ShardedCampaign("sweep", grid, shard_size=2)
         coord.handle(wire.Submit(campaign=campaign.to_dict()))
         (grant,) = coord.handle(wire.LeaseRequest(owner="w1"))
-        coord.handle(wire.CellResult(
-            campaign=grant.campaign, shard=grant.shard, pos=grant.start,
-            doc=grid_docs[grant.start], cached=False, wall_ns=0,
-        ))
         reborn = Coordinator(root)
         reborn.recover()
-        # Incomplete buffer: nothing committed, shard re-grantable.
-        assert reborn.recovered_shards == 0
+        # Nothing was committed, and the restart dropped w1's lease.
+        state = reborn.campaigns[campaign.campaign_key]
+        assert not state.done
         (regrant,) = reborn.handle(wire.LeaseRequest(owner="w2"))
         assert isinstance(regrant, wire.LeaseGrant)
         assert regrant.shard == grant.shard
+        # The worker holding the first grant delivers it late: committed.
+        (ok,) = reborn.handle(shard_done(grant, grid_docs, owner="w1"))
+        assert ok.accepted and state.done == {grant.shard}
 
 
 # ----------------------------------------------------------------------
@@ -462,13 +434,7 @@ class TestLeaseSemantics:
         first, second = campaign.shards
         (grant,) = coord.handle(wire.LeaseRequest(owner="svc"))
         assert grant.shard == first.shard_id
-        for pos in range(grant.start, grant.stop):
-            coord.handle(wire.CellResult(
-                campaign=grant.campaign, shard=grant.shard, pos=pos,
-                doc=grid_docs[pos], cached=False, wall_ns=0, owner="svc",
-            ))
-        (done,) = coord.handle(wire.ShardDone(
-            campaign=grant.campaign, shard=grant.shard, owner="svc"))
+        (done,) = coord.handle(shard_done(grant, grid_docs, owner="svc"))
         assert done.accepted
         state.store.write_manifest(
             campaign, second, grid_docs[second.start:second.stop],
@@ -480,53 +446,43 @@ class TestLeaseSemantics:
 
     def test_duplicate_and_partial_delivery(self, grid, grid_docs, tmp_path):
         coord, campaign, _ = self._coordinator(tmp_path, grid)
+        state = coord.campaigns[campaign.campaign_key]
         (grant,) = coord.handle(wire.LeaseRequest(owner="a"))
+        full = shard_done(grant, grid_docs, owner="a")
 
-        # Premature shard_done: rejected with the missing positions.
-        (early,) = coord.handle(wire.ShardDone(
-            campaign=grant.campaign, shard=grant.shard, owner="a"))
-        assert isinstance(early, wire.ShardOk) and not early.accepted
-        assert "missing" in early.reason
+        # A partial shard: one error naming the short column, no commit.
+        (short,) = coord.handle(dataclasses.replace(full, results=full.results[:1]))
+        assert isinstance(short, wire.ErrorReply)
+        assert "results column has 1" in short.reason
+        assert not state.done and not state.store.shard_done(campaign.shards[0])
 
-        cell = wire.CellResult(
-            campaign=grant.campaign, shard=grant.shard, pos=grant.start,
-            doc=grid_docs[grant.start], cached=False, wall_ns=7,
-        )
-        assert coord.handle(cell) == [wire.CellOk()]
-        assert coord.handle(cell) == [wire.CellOk()]  # duplicate: idempotent
-        for pos in range(grant.start + 1, grant.stop):
-            coord.handle(wire.CellResult(
-                campaign=grant.campaign, shard=grant.shard, pos=pos,
-                doc=grid_docs[pos], cached=False, wall_ns=7,
-            ))
-        (done,) = coord.handle(wire.ShardDone(
-            campaign=grant.campaign, shard=grant.shard, owner="a"))
-        assert done.accepted
-        # Replays after commit stay idempotent (a re-granted worker
-        # finishing late must not error out).
-        (again,) = coord.handle(wire.ShardDone(
-            campaign=grant.campaign, shard=grant.shard, owner="a"))
-        assert again.accepted
-        assert coord.handle(cell) == [wire.CellOk()]
+        assert coord.handle(full) == [wire.ShardOk(accepted=True)]
+        # A re-sent or late frame after the commit is acknowledged (a
+        # re-granted worker finishing late must not error out), and the
+        # manifest stays the first commit's.
+        manifest = state.store.shard_path(grant.shard).read_bytes()
+        assert coord.handle(full) == [wire.ShardOk(accepted=True)]
+        late = dataclasses.replace(full, owner="b", wall_ns=[9] * len(full.wall_ns))
+        assert coord.handle(late) == [wire.ShardOk(accepted=True)]
+        assert state.store.shard_path(grant.shard).read_bytes() == manifest
 
     def test_fetch_after_manifest_deleted_is_an_error(self, grid, grid_docs, tmp_path):
         coord, campaign, _ = self._coordinator(tmp_path, grid)
         for _ in campaign.shards:
             (grant,) = coord.handle(wire.LeaseRequest(owner="a"))
-            for pos in range(grant.start, grant.stop):
-                coord.handle(wire.CellResult(
-                    campaign=grant.campaign, shard=grant.shard, pos=pos,
-                    doc=grid_docs[pos], cached=pos == 0, wall_ns=7 + pos,
-                ))
-            (done,) = coord.handle(wire.ShardDone(
-                campaign=grant.campaign, shard=grant.shard, owner="a"))
+            positions = range(grant.start, grant.stop)
+            (done,) = coord.handle(shard_done(
+                grant, grid_docs, owner="a",
+                cached=[pos == 0 for pos in positions],
+                wall_ns=[7 + pos for pos in positions],
+            ))
             assert done.accepted
         fetch = wire.FetchRequest(campaign=campaign.campaign_key)
-        *cells, end = coord.handle(fetch)
-        assert isinstance(end, wire.FetchDone) and end.cells == len(grid)
-        assert [(c.pos, c.cached, c.wall_ns) for c in cells] == [
-            (pos, pos == 0, 7 + pos) for pos in range(len(grid))
-        ]
+        (end,) = coord.handle(fetch)
+        assert isinstance(end, wire.FetchDone)
+        assert end.results == grid_docs
+        assert end.cached == [pos == 0 for pos in range(len(grid))]
+        assert end.wall_ns == [7 + pos for pos in range(len(grid))]
         state = coord.campaigns[campaign.campaign_key]
         state.store.shard_path(campaign.shards[0].shard_id).unlink()
         (err,) = coord.handle(fetch)
@@ -538,18 +494,25 @@ class TestLeaseSemantics:
     ):
         coord, campaign, _ = self._coordinator(tmp_path, grid)
         (grant,) = coord.handle(wire.LeaseRequest(owner="a"))
-        (err,) = coord.handle(wire.CellResult(
-            campaign=grant.campaign, shard=grant.shard, pos=99,
-            doc=grid_docs[0], cached=False, wall_ns=0))
-        assert isinstance(err, wire.ErrorReply) and "outside shard" in err.reason
-        (err,) = coord.handle(wire.CellResult(
-            campaign="f" * 64, shard=grant.shard, pos=0,
-            doc=grid_docs[0], cached=False, wall_ns=0))
+        full = shard_done(grant, grid_docs, owner="a")
+        n = grant.stop - grant.start
+        for column, value in (
+            ("results", full.results + [grid_docs[0]]),
+            ("cached", full.cached + [False]),
+            ("wall_ns", []),
+        ):
+            (err,) = coord.handle(dataclasses.replace(full, **{column: value}))
+            assert isinstance(err, wire.ErrorReply)
+            assert err.reason == (
+                f"shard {grant.shard[:12]} has {n} cell(s), "
+                f"but its {column} column has {len(value)}"
+            )
+        (err,) = coord.handle(dataclasses.replace(full, campaign="f" * 64))
         assert isinstance(err, wire.ErrorReply) and "unknown campaign" in err.reason
-        (err,) = coord.handle(wire.CellResult(
-            campaign=grant.campaign, shard="f" * 64, pos=0,
-            doc=grid_docs[0], cached=False, wall_ns=0))
+        (err,) = coord.handle(dataclasses.replace(full, shard="f" * 64))
         assert isinstance(err, wire.ErrorReply) and "unknown shard" in err.reason
+        (jobs,) = coord.handle(wire.JobsRequest())
+        assert jobs.campaigns[0]["shards_done"] == 0
 
 
 # ----------------------------------------------------------------------
@@ -711,13 +674,7 @@ def position(log, kind, pred=lambda msg, reply: True):
 
 
 def commit(peer, grant, grid_docs, owner):
-    for pos in range(grant.start, grant.stop):
-        assert peer.request(wire.CellResult(
-            campaign=grant.campaign, shard=grant.shard, pos=pos,
-            doc=grid_docs[pos], cached=False, wall_ns=0, owner=owner,
-        )) == wire.CellOk()
-    assert peer.request(wire.ShardDone(
-        campaign=grant.campaign, shard=grant.shard, owner=owner)).accepted
+    assert peer.request(shard_done(grant, grid_docs, owner)).accepted
 
 
 def parked_lease(owner, once=False):
@@ -914,3 +871,30 @@ class TestBadFrames:
             assert peer.recv() == wire.JobsReply()
         finally:
             peer.close()
+
+
+# ----------------------------------------------------------------------
+# The harness itself: stopping finishes every client loop
+# ----------------------------------------------------------------------
+class TestLiveHarness:
+    def test_stop_leaves_no_task_pending(self, grid, make_service, caplog):
+        caplog.set_level(logging.ERROR, logger="asyncio")
+        svc = make_service()
+        campaign = ShardedCampaign("sweep", grid, shard_size=2)
+        with ServiceClient(svc.addr) as client:
+            client.submit(campaign.to_dict())
+            drain(svc.addr, owner="w1")
+            assert client.wait(campaign.campaign_key, timeout_s=60)["merged"]
+        # A peer still connected, its lease request parked, when the
+        # coordinator stops: its client loop must end before the loop
+        # closes.
+        idle = _Peer(svc.addr)
+        idle.send(parked_lease("idle"))
+        until(lambda: svc.coord.parked == 1)
+        svc.stop()
+        idle.close()
+        gc.collect()
+        assert svc._loop.is_closed()
+        # Neither a client loop destroyed while pending nor one that
+        # ended cancelled (``Exception in callback``) is logged.
+        assert [r.getMessage() for r in caplog.records] == []
