@@ -150,8 +150,11 @@ class Coordinator:
         self.quarantined_owners: Set[str] = set()
         self.campaigns: Dict[str, _CampaignState] = {}
         self._server: Optional[asyncio.AbstractServer] = None
-        #: The open connections, hung up on by :meth:`stop`.
-        self._peers: Set[asyncio.StreamWriter] = set()
+        #: The open connections and their client loops; :meth:`stop`
+        #: hangs up on each and waits for its loop to end.
+        self._peers: Dict[asyncio.StreamWriter, asyncio.Task] = {}
+        #: Set once :meth:`stop` is done.  Created by :meth:`start`.
+        self._stopped: Optional[asyncio.Event] = None
         #: Bumped whenever a parked request may have a new answer: a
         #: campaign registered, a shard committed or back in the pool.
         self._changes = 0
@@ -580,7 +583,7 @@ class Coordinator:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         decoder = wire.LineDecoder()
-        self._peers.add(writer)
+        self._peers[writer] = asyncio.current_task()
         # The next read is always outstanding while a chunk's requests
         # are answered, so a parked request sees its peer hang up.
         read = asyncio.ensure_future(reader.read(65536))
@@ -606,7 +609,7 @@ class Coordinator:
         except ConnectionError:
             pass  # a worker died; its lease will expire
         finally:
-            self._peers.discard(writer)
+            self._peers.pop(writer, None)
             read.cancel()
             try:
                 writer.close()
@@ -618,6 +621,7 @@ class Coordinator:
         """Bind and start serving; returns the bound port."""
         self.root.mkdir(parents=True, exist_ok=True)
         self._wake = asyncio.get_running_loop().create_future()
+        self._stopped = asyncio.Event()
         self.recover()
         self._server = await asyncio.start_server(
             self._client_loop, host=self.host, port=self.port
@@ -630,19 +634,31 @@ class Coordinator:
         return self.port
 
     async def serve_forever(self) -> None:
+        """Serve until :meth:`stop` is done.  If cancelled (SIGINT under
+        ``asyncio.run``), stop before the cancellation propagates."""
         assert self._server is not None, "call start() first"
-        async with self._server:
-            await self._server.serve_forever()
+        try:
+            await self._stopped.wait()
+        finally:
+            await self.stop()
 
     async def stop(self) -> None:
-        """Stop serving and hang up on every peer: each client loop then
-        ends as if its peer had left (``serve_forever`` is cancelled)."""
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        """Stop serving, hang up on every peer and wait until each client
+        loop has ended as if its peer had left.
+
+        The hang-up comes before any wait: from Python 3.12 on,
+        ``Server.wait_closed`` returns only once every connection is gone.
+        """
+        if self._server is None:
+            return
+        server, self._server = self._server, None
+        server.close()
+        loops = list(self._peers.values())
         for writer in list(self._peers):
             writer.close()
+        await asyncio.gather(*loops, return_exceptions=True)
+        await server.wait_closed()
+        self._stopped.set()
 
 
 async def _serve_async(

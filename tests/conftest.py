@@ -114,12 +114,10 @@ class LiveCoordinator:
         asyncio.set_event_loop(loop)
         loop.run_until_complete(self.coord.start())
         self._ready.set()
-        try:
-            loop.run_until_complete(self.coord.serve_forever())
-        except asyncio.CancelledError:
-            pass  # Coordinator.stop() closed the server
-        # The client loops end on the hang-up, and run their ``finally``
-        # (closing the connection) first: wait for them before closing.
+        # Returns once Coordinator.stop() has hung up on every peer and
+        # each client loop has ended; let stop()'s own task finish too
+        # before closing the loop.
+        loop.run_until_complete(self.coord.serve_forever())
         tasks = asyncio.all_tasks(loop)
         if tasks:
             loop.run_until_complete(asyncio.wait(tasks, timeout=10.0))

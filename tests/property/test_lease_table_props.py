@@ -97,14 +97,6 @@ class LeaseTable(RuleBasedStateMachine):
         self.campaign: ShardedCampaign = ref["campaign"]
         self.docs: List[Dict[str, Any]] = ref["docs"]
         self.merged: bytes = ref["merged"]
-        # The spot check re-executes cells through the sweep kind's
-        # run_spec; here it reads the reference results instead.
-        results = {
-            cell: run_result_from_dict(doc)
-            for cell, doc in zip(self.campaign.cells, self.docs)
-        }
-        self._run_spec = shard_module.run_spec
-        shard_module.run_spec = lambda spec, tasksets=None: results[spec]
         self.key = self.campaign.campaign_key
         self.shards = self.campaign.shards
         self.root = pathlib.Path(tempfile.mkdtemp(prefix="lease-model-"))
@@ -119,6 +111,15 @@ class LeaseTable(RuleBasedStateMachine):
         self.holding: Dict[str, int] = {}  # owner -> shard it works on
         self.barred: set = set()  # owners the spot check convicted
         self.quarantines = 0  # shards the spot check refused
+        # The spot check re-executes cells through the sweep kind's
+        # run_spec; here it reads the reference results instead.  Patched
+        # last: teardown() restores it, and runs only if __init__ returns.
+        results = {
+            cell: run_result_from_dict(doc)
+            for cell, doc in zip(self.campaign.cells, self.docs)
+        }
+        self._run_spec = shard_module.run_spec
+        shard_module.run_spec = lambda spec, tasksets=None: results[spec]
 
     # -- helpers -------------------------------------------------------
     def clock(self) -> float:

@@ -22,7 +22,8 @@ Pins the service's durability contract against the file queue it wraps:
 * worker telemetry relayed over the wire lands in the campaign
   directory exactly where file-based workers write it;
 * ``repro-mc2 status --service`` reports ``source: service``;
-* the live-coordinator harness stops without leaving a task pending.
+* the live-coordinator harness stops without leaving a task pending,
+  and ``repro-mc2 serve`` exits cleanly on SIGINT with a peer connected.
 """
 
 import contextlib
@@ -898,3 +899,31 @@ class TestLiveHarness:
         # Neither a client loop destroyed while pending nor one that
         # ended cancelled (``Exception in callback``) is logged.
         assert [r.getMessage() for r in caplog.records] == []
+
+    def test_sigint_stops_serve_with_a_peer_connected(self, tmp_path):
+        # ``repro-mc2 serve`` runs under asyncio.run, where SIGINT cancels
+        # the server task: it must hang up on the parked peer, end that
+        # client loop, and exit cleanly (no hang, no traceback).
+        port_file = tmp_path / "serve.port"
+        env = dict(os.environ)
+        src = str(pathlib.Path(__file__).resolve().parents[2] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve",
+             "--root", str(tmp_path / "serve"), "--port-file", str(port_file)],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+            text=True,
+        )
+        try:
+            port = wire.read_port_file(str(port_file), timeout=60.0)
+            idle = _Peer(f"127.0.0.1:{port}")
+            idle.send(parked_lease("idle"))
+            proc.send_signal(signal.SIGINT)
+            out, _ = proc.communicate(timeout=30.0)
+            idle.close()
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        assert proc.returncode == 0, out
+        assert "Traceback" not in out, out
