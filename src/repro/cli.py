@@ -559,7 +559,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
+def _cmd_simulate(args: argparse.Namespace, executor: SweepExecutor) -> int:
     spec = RunSpec(
         taskset=_taskset_spec(args.taskset, args.seed, args.m),
         scenario=ScenarioSpec.from_scenario(_SCENARIOS[args.scenario]),
@@ -569,7 +569,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         level_c_budgets=not args.no_budgets,
         obs=_obs_spec(args),
     )
-    executor = _make_executor(args)
     [result] = executor.run([spec])
     if args.json:
         print(json.dumps(run_result_to_dict(result), indent=2))
@@ -581,8 +580,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_figures(args: argparse.Namespace) -> int:
-    executor = _make_executor(args)
+def _cmd_figures(args: argparse.Namespace, executor: SweepExecutor) -> int:
     obs = _obs_spec(args)
     refs = [TaskSetSpec.generated(seed)
             for seed in taskset_seeds(args.tasksets, args.seed)]
@@ -610,7 +608,7 @@ def _cmd_figures(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_traffic(args: argparse.Namespace) -> int:
+def _cmd_traffic(args: argparse.Namespace, executor: SweepExecutor) -> int:
     from repro.experiments.traffic import (
         DEFAULT_BURSTS_PER_CPU,
         DEFAULT_LOADS_PER_CPU,
@@ -620,7 +618,6 @@ def _cmd_traffic(args: argparse.Namespace) -> int:
     )
     from repro.workload.generator import GeneratorParams
 
-    executor = _make_executor(args)
     obs = _obs_spec(args)
     refs = [TaskSetSpec.generated(seed, GeneratorParams(m=args.m))
             for seed in taskset_seeds(args.tasksets, args.seed)]
@@ -1056,12 +1053,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         # anywhere else the flag would profile into the void.
         parser.error("--telemetry needs --checkpoint-dir (telemetry streams "
                      "are written into the checkpointed campaign directory)")
-    handlers = {
-        "generate": _cmd_generate,
-        "analyze": _cmd_analyze,
+    # A sweep command runs on one executor, closed when the command ends.
+    sweeps = {
         "simulate": _cmd_simulate,
         "figures": _cmd_figures,
         "traffic": _cmd_traffic,
+    }
+    handlers = {
+        "generate": _cmd_generate,
+        "analyze": _cmd_analyze,
         "trace": _cmd_trace,
         "faults": _cmd_faults,
         "sweep": _cmd_sweep,
@@ -1074,6 +1074,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         "verify": _cmd_verify,
     }
     try:
+        if args.command in sweeps:
+            with _make_executor(args) as executor:
+                return sweeps[args.command](args, executor)
         return handlers[args.command](args)
     except BrokenPipeError:
         # Output piped into a pager/head that closed early: not an error.

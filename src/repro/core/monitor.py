@@ -19,6 +19,26 @@ paper's pseudocode faithfully:
   (Fig. 2(b)/3(b) and the "without virtual time" bars of Fig. 9).
 
 Line numbers in comments refer to the paper's pseudocode listings.
+
+**Quiet-run guarantee.**  The monitor's side of the kernel seam, written
+as a rely/guarantee contract like the kernel's (Jones & Burns,
+PAPERS.md).  Every built-in monitor — the three concrete classes here
+and the two of :mod:`repro.core.policies` — relies on the kernel's
+reports and guarantees that it calls ``change_speed``, enters recovery,
+opens an episode or emits a monitor trace event only after it has
+counted a tolerance miss (``miss_count`` rises before
+:meth:`Monitor.handle_miss` runs, and every other action is reached
+from it or from recovery mode).
+Neither the kernel's calls into a monitor (``on_job_release`` and
+``on_job_complete``, which return nothing) nor the runner's
+``settled()`` (``recovery_mode``) nor the run's result (``miss_count``,
+``episodes``, ``speed_requests``) read anything else.  So a run that
+counts no miss is one schedule and one result under every built-in
+monitor, but for the ``monitor`` label, and
+:func:`repro.runtime.executor.run_spec` simulates such a run once per
+sharing scope (:func:`repro.runtime.registry.acts_only_on_miss` names
+the kinds it trusts).  ``tests/property/test_quiet_run_props.py``
+checks both halves.
 """
 
 from __future__ import annotations

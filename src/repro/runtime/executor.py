@@ -24,7 +24,7 @@ Determinism: a cell's result depends only on its spec (the task-set
 seed pins the single source of randomness), so backend choice and job
 count never change the aggregated figures — only the wall clock.
 
-**Task-set sharing**: sweep grids usually share a handful of task-set
+**Sharing scopes**: sweep grids usually share a handful of task-set
 specs (the seed axis) across many cells (the scenario x monitor axes),
 and for short-horizon cells task-set generation is a large fraction of
 the cost.  Every executor therefore runs its cells through one
@@ -39,11 +39,21 @@ use too), one file-queue shard, one lease grant in
 because :class:`~repro.model.taskset.TaskSet` is immutable and
 simulation never mutates it, so results are bit-for-bit those of fresh
 materialization.
+
+A scope also keeps each *quiet* run, one that counted no
+response-time-tolerance miss, under its spec with the monitor removed:
+cells of a monitor sweep that differ only in a built-in monitor run the
+same schedule until the first miss (the quiet-run guarantee of
+:mod:`repro.core.monitor`), so a later cell of a quiet group is the
+kept result under its own monitor label, with no simulation of its
+own (:func:`run_spec`).  Traced cells, fault cells and third-party
+monitor kinds always simulate.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import dataclasses
 import os
 from dataclasses import dataclass, fields
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -54,7 +64,8 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.progress import ProgressReporter
 from repro.obs.report import CellReport, SweepReport
 from repro.runtime.cache import ResultCache
-from repro.runtime.spec import RunSpec, TaskSetSpec
+from repro.runtime.registry import acts_only_on_miss
+from repro.runtime.spec import MonitorSpec, RunSpec, TaskSetSpec
 
 __all__ = [
     "simulate_spec",
@@ -116,9 +127,11 @@ def simulate_spec(
             tracer.close()
 
 
-def run_spec(
-    spec: RunSpec, tasksets: Optional[Dict[TaskSetSpec, TaskSet]] = None
-) -> RunResult:
+#: The monitor of the key a quiet run is kept under in a sharing scope.
+_NO_MONITOR = MonitorSpec("none")
+
+
+def run_spec(spec: RunSpec, tasksets: Optional[Dict[Any, Any]] = None) -> RunResult:
     """Execute one sweep cell in the sharing scope *tasksets*.
 
     Custom monitor kinds must be registered at *import* time of a module
@@ -126,7 +139,20 @@ def run_spec(
     Linux, anything registered in the parent is simply inherited.  A
     traced run streams its events to ``<trace_dir>/run-<key
     prefix>.jsonl``; tracing is observation only.
+
+    An untraced cell of a built-in monitor kind
+    (:func:`~repro.runtime.registry.acts_only_on_miss`) keeps a quiet
+    result, one with ``miss_count == 0``, in the scope under its spec
+    with the monitor removed, and returns a kept one, relabelled,
+    instead of simulating.  By the quiet-run guarantee of
+    :mod:`repro.core.monitor` that is the cell's own run, byte for byte.
     """
+    group = None
+    if tasksets is not None and not spec.obs.tracing and acts_only_on_miss(spec.monitor.kind):
+        group = dataclasses.replace(spec, monitor=_NO_MONITOR)
+        quiet = tasksets.get(group)
+        if quiet is not None:
+            return dataclasses.replace(quiet, monitor=spec.monitor.label)
     result = simulate_spec(
         spec,
         tasksets,
@@ -140,6 +166,8 @@ def run_spec(
         ),
     )
     assert isinstance(result, RunResult)
+    if group is not None and result.miss_count == 0:
+        tasksets[group] = result
     return result
 
 
@@ -149,7 +177,9 @@ class SweepStats:
 
     #: Cells requested.
     cells_total: int = 0
-    #: Cells that had to be simulated (cache misses).
+    #: Cells computed (cache misses).  A cell that shares a quiet run
+    #: (:func:`run_spec`) counts here, though it had no simulation of
+    #: its own.
     cells_simulated: int = 0
     #: Cells served from the result cache.
     cache_hits: int = 0
@@ -266,6 +296,16 @@ class SweepExecutor:
     def _execute(self, specs: Sequence[RunSpec]) -> List[Tuple[RunResult, int]]:
         """Simulate *specs*, in order, reporting ``(result, wall_ns)`` per cell."""
         raise NotImplementedError
+
+    def close(self) -> None:
+        """Release what the executor holds open between runs (nothing here;
+        a service connection for :class:`~repro.serve.client.ServiceBackend`)."""
+
+    def __enter__(self) -> "SweepExecutor":
+        return self
+
+    def __exit__(self, *exc: Any) -> None:
+        self.close()
 
     def _run_local(
         self, specs: Sequence[RunSpec], jobs: int, chunksize: Optional[int] = None
@@ -406,8 +446,7 @@ class SweepExecutor:
 class SerialBackend(SweepExecutor):
     """Simulate cells one after another in the calling process.
 
-    The whole miss list of one ``run()`` call is one task-set sharing
-    scope.
+    The whole miss list of one ``run()`` call is one sharing scope.
     """
 
     def _execute(self, specs: Sequence[RunSpec]) -> List[Tuple[RunResult, int]]:
@@ -422,7 +461,7 @@ class ProcessPoolBackend(SweepExecutor):
     jobs:
         Worker count (default: ``os.cpu_count()``).
     chunksize:
-        Cells per pool task (a *slice*, one task-set sharing scope);
+        Cells per pool task (a *slice*, one sharing scope);
         ``None`` picks ``ceil(n / (4 * jobs))``, which amortizes
         dispatch overhead while still load-balancing cells of uneven
         cost (short vs. truncated runs).

@@ -25,6 +25,7 @@ __all__ = [
     "Registry",
     "MonitorKind",
     "monitor_registry",
+    "acts_only_on_miss",
 ]
 
 T = TypeVar("T")
@@ -177,3 +178,18 @@ def _register_builtin_monitors() -> None:
 
 
 _register_builtin_monitors()
+#: The five entries registered above, by key.
+_BUILTIN_MONITORS: Dict[str, MonitorKind] = {
+    key: monitor_registry.get(key) for key in monitor_registry
+}
+
+
+def acts_only_on_miss(kind: str) -> bool:
+    """Whether *kind* keeps the quiet-run guarantee of :mod:`repro.core.monitor`.
+
+    True for the five built-in kinds, recognised by entry object: a
+    third-party kind, or a built-in key re-registered with
+    ``override=True``, may act without a miss, so its runs are never
+    shared (:func:`repro.runtime.executor.run_spec`).
+    """
+    return monitor_registry.get(kind) is _BUILTIN_MONITORS.get(kind)

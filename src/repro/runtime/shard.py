@@ -188,12 +188,13 @@ class _Kind:
         """Yield ``(result, cached, wall_ns)`` per cell, in order.
 
         The one per-cell loop of every executor: cache lookup, execution
-        in one task-set sharing scope for the whole call, cache
+        in one sharing scope for the whole call (task sets and quiet
+        runs, :func:`~repro.runtime.executor.run_spec`), cache
         write-back, with ``wall_ns`` timed around the three.  Without
         *keys*, or for an empty key, the cache is bypassed.  A generator,
         so callers heartbeat and report after every cell.
         """
-        tasksets: Dict[Any, Any] = {}
+        scope: Dict[Any, Any] = {}
         use_cache = self.cacheable and cache is not None and keys is not None
         for i, cell in enumerate(cells):
             t0 = time.perf_counter_ns()
@@ -201,7 +202,7 @@ class _Kind:
             result = cache.get(key) if key else None  # type: ignore[union-attr]
             cached = result is not None
             if result is None:
-                result = self.execute(cell, tasksets)
+                result = self.execute(cell, scope)
                 if key:
                     cache.put(key, self.cell_to_dict(cell), result)  # type: ignore[union-attr]
             yield result, cached, time.perf_counter_ns() - t0
@@ -707,7 +708,7 @@ def run_shard(
     on_cell: Optional[Callable[[bool], None]] = None,
     telemetry=None,
 ) -> ShardColumns:
-    """Run one shard, as one task-set sharing scope, to its columns.
+    """Run one shard, as one sharing scope, to its columns.
 
     The one shard body of both transports: the file queue writes the
     columns as the shard's manifest (:func:`_execute_shard`), and a

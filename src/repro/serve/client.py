@@ -205,6 +205,10 @@ class ServiceBackend(SweepExecutor):
         self.timeout_s = timeout_s
         self.client = client or ServiceClient(addr)
 
+    def close(self) -> None:
+        """Close the coordinator connection; a later :meth:`run` reconnects."""
+        self.client.close()
+
     def _execute(self, specs: Sequence[Any]) -> List[Tuple[Any, int]]:
         from repro.io.results_json import run_result_from_dict
         from repro.runtime.shard import ShardedCampaign

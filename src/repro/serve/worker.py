@@ -142,7 +142,7 @@ class WorkerClient:
     def _execute_grant(self, grant: wire.LeaseGrant) -> ShardColumns:
         """Run every granted cell; returns the shard's manifest columns.
 
-        The grant is one task-set sharing scope, run by the file queue's
+        The grant is one sharing scope, run by the file queue's
         shard body (:func:`repro.runtime.shard.run_shard`).
         """
         kind = get_kind(grant.kind)
@@ -273,8 +273,17 @@ class WorkerClient:
                 attempt += 1
 
     def run(self) -> int:
-        """Lease/execute/deliver until drained (``once``) or interrupted."""
+        """Lease/execute/deliver until drained (``once``) or interrupted.
+
+        The coordinator connection is closed on every way out.
+        """
         self.log(f"[{self.owner}] worker connecting to {self.host}:{self.port}")
+        try:
+            return self._serve()
+        finally:
+            self._drop_conn()
+
+    def _serve(self) -> int:
         while True:
             try:
                 conn = self._ensure_conn()
@@ -310,10 +319,7 @@ class WorkerClient:
 
 def run_worker(addr: str, **kwargs: Any) -> int:
     """CLI body for ``repro-mc2 worker``; returns an exit code."""
-    client = WorkerClient(addr, **kwargs)
     try:
-        return client.run()
+        return WorkerClient(addr, **kwargs).run()
     except KeyboardInterrupt:
         return 0
-    finally:
-        client._drop_conn()

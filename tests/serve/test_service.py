@@ -522,17 +522,36 @@ class TestLeaseSemantics:
 class TestServiceBackend:
     def test_matches_serial_backend(self, grid, make_service):
         svc = make_service()
-        ex = make_executor(service_addr=svc.addr, shard_size=2)
-        assert isinstance(ex, ServiceBackend)
-        with background_workers(svc.addr, n=2):
-            results = ex.run(grid)
+        with make_executor(service_addr=svc.addr, shard_size=2) as ex:
+            assert isinstance(ex, ServiceBackend)
+            with background_workers(svc.addr, n=2):
+                results = ex.run(grid)
+        assert ex.client._sock is None  # closed with the executor
         assert results == SerialBackend().run(grid)
         assert ex.stats.cells_total == len(grid)
         assert ex.report.cells_total == len(grid)
 
         # Re-running the same grid is a pure fetch: no workers needed.
-        again = make_executor(service_addr=svc.addr, shard_size=2)
-        assert again.run(grid) == results
+        with make_executor(service_addr=svc.addr, shard_size=2) as again:
+            assert again.run(grid) == results
+
+    def test_cli_sweep_closes_its_connection(self, make_service, monkeypatch, capsys):
+        svc = make_service()
+        closed = []
+        close = ServiceBackend.close
+
+        def spy(backend):
+            close(backend)
+            closed.append(backend)
+
+        monkeypatch.setattr(ServiceBackend, "close", spy)
+        argv = ["simulate", "--seed", "3", "--m", "2", "--horizon", "2",
+                "--service", svc.addr]
+        with background_workers(svc.addr):
+            assert main(argv) == 0
+        (backend,) = closed
+        assert backend.client._sock is None
+        assert "SIMPLE" in capsys.readouterr().out
 
     def test_service_excludes_checkpoint_dir(self, tmp_path):
         with pytest.raises(ValueError, match="mutually exclusive"):
